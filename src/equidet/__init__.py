@@ -27,7 +27,7 @@ from .equilibrium import (
     solve_nontrivial,
     theorem_consistency,
 )
-from .exact import Matrix, det_exact, kernel_basis, rank_exact
+from .exact import Matrix, det_exact, kernel_basis, kernel_vector, rank_exact
 from .tensorfile import dump_tensor, load_tensor, tensor_from_json, tensor_to_json
 from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration
 from .witnesses import (
@@ -64,6 +64,7 @@ __all__ = [
     "dump_tensor",
     "insert_position",
     "kernel_basis",
+    "kernel_vector",
     "load_tensor",
     "permutation_sign",
     "random_coefficients",

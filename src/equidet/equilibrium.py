@@ -15,7 +15,7 @@ from fractions import Fraction
 
 from .combinat import insert_position, subsets_colex
 from .detmap import det_sr
-from .exact import Matrix, kernel_basis, rank_exact
+from .exact import Matrix, kernel_basis, kernel_vector
 from .tensors import CoefficientSystem, ForceSystem
 
 
@@ -69,10 +69,9 @@ def solve_nontrivial(f: ForceSystem):
     """A nonzero symmetric coefficient family solving every equation exactly,
     or None when only the trivial rescaling works."""
     system = build_equilibrium_system(f)
-    basis = kernel_basis(system.full_matrix)
-    if not basis:
+    vec = kernel_vector(system.full_matrix)
+    if vec is None:
         return None
-    vec = basis[0]
     canonical = {t: x for t, x in zip(system.col_labels, vec) if x}
     return CoefficientSystem(f.r, f.q, canonical)
 
@@ -151,8 +150,9 @@ def theorem_consistency(f: ForceSystem) -> ConsistencyReport:
     Requires q = r*d.  ``consistent`` records whether (determinant == 0)
     coincides with the full system having a nontrivial kernel;
     ``reduced_matches_full`` whether dropping the particle-q equations
-    changed nothing (equal ranks and every reduced-kernel vector solving the
-    full system).
+    changed nothing (equal kernel dimensions, i.e. equal ranks since both
+    matrices have the same columns, and every reduced-kernel vector solving
+    the full system).
     """
     if f.q != f.r * f.d:
         raise ValueError(f"criterion needs q = r*d, got q={f.q} with r={f.r}, d={f.d}")
@@ -160,12 +160,10 @@ def theorem_consistency(f: ForceSystem) -> ConsistencyReport:
     det_value = det_sr(f.to_configuration())
     kernel = kernel_basis(system.full_matrix)
     consistent = (det_value == 0) == (len(kernel) > 0)
-    reduced_ok = rank_exact(system.full_matrix) == rank_exact(system.reduced_matrix)
-    if reduced_ok:
-        for vec in kernel_basis(system.reduced_matrix):
-            if any(x != 0 for x in system.full_matrix.mul_vec(vec)):
-                reduced_ok = False
-                break
+    reduced_kernel = kernel_basis(system.reduced_matrix)
+    reduced_ok = len(kernel) == len(reduced_kernel) and all(
+        not any(system.full_matrix.mul_vec(vec)) for vec in reduced_kernel
+    )
     return ConsistencyReport(
         det_value=det_value,
         kernel_dim=len(kernel),

@@ -5,13 +5,17 @@ Entries are Python ints or :class:`fractions.Fraction` (both expose exact
 denominators are cleared column-wise to an integer matrix, a Bareiss-style
 elimination runs over big ints (intermediate entries stay minors of the
 input, bounding growth), and the clearing factors are divided back out.
-Kernels and ranks use the same fraction-free forward pass followed by a
-small rational back-substitution.  Every zero test is exact; there is no
-floating-point path.
+Kernels and ranks use the same fraction-free forward pass.  Kernel vectors
+then come from an integer back-substitution: the free coordinate is set to
+the last Bareiss pivot, so by Cramer's rule every division is exact.
+``kernel_basis`` returns every kernel vector; ``kernel_vector`` stops the
+forward pass at the first free column and returns only the first one.  Every
+zero test is exact; there is no floating-point path.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -132,8 +136,13 @@ def _cleared_rows(m: Matrix):
     return out
 
 
-def _row_echelon(rows, ncols):
-    """Fraction-free forward elimination; returns (echelon rows, pivot columns)."""
+def _row_echelon(rows, ncols, stop_at_free=False):
+    """Fraction-free forward elimination; returns (echelon rows, pivot columns).
+
+    With ``stop_at_free`` the pass stops at the first column without a pivot.
+    The rows found by then are final, and they alone fix the kernel vector of
+    that column.
+    """
     nrows = len(rows)
     pivots = []
     r = 0
@@ -145,6 +154,8 @@ def _row_echelon(rows, ncols):
                 pivot_row = i
                 break
         if pivot_row is None:
+            if stop_at_free:
+                break
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
         rk = rows[r]
@@ -167,6 +178,31 @@ def _row_echelon(rows, ncols):
     return rows[:r], pivots
 
 
+def _free_vector(ech, pivots, free, ncols):
+    """Primitive integer kernel vector of the free column ``free``.
+
+    Only the k pivot rows left of ``free`` constrain it.  Setting x[free] to
+    the k-th Bareiss pivot, the determinant of their pivot block, makes every
+    pivot coordinate an integer minor (Cramer's rule), so each step divides
+    exactly.  The result is scaled to be primitive with x[free] > 0.
+    """
+    k = bisect_left(pivots, free)
+    x = [0] * ncols
+    x[free] = ech[k - 1][pivots[k - 1]] if k else 1
+    support = [free]
+    for i in reversed(range(k)):
+        row = ech[i]
+        c = pivots[i]
+        x[c], rem = divmod(-sum(row[j] * x[j] for j in support), row[c])
+        if rem:
+            raise ArithmeticError("inexact division in integer back-substitution")
+        support.append(c)
+    g = gcd(*x)
+    if x[free] < 0:
+        g = -g
+    return [v // g for v in x]
+
+
 def kernel_basis(m: Matrix):
     """Basis of the right null space, as primitive integer vectors.
 
@@ -176,28 +212,25 @@ def kernel_basis(m: Matrix):
     """
     ech, pivots = _row_echelon(_cleared_rows(m), m.cols)
     pivot_set = set(pivots)
-    basis = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        x = [Fraction(0)] * m.cols
-        x[free] = Fraction(1)
-        for i in reversed(range(len(pivots))):
-            c = pivots[i]
-            if c > free:
-                continue
-            row = ech[i]
-            s = sum(row[j] * x[j] for j in range(c + 1, free + 1) if x[j])
-            x[c] = -Fraction(s, 1) / row[c]
-        mult = 1
-        for xj in x:
-            mult = lcm(mult, xj.denominator)
-        ints = [int(xj * mult) for xj in x]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
-        basis.append([v // g for v in ints])
-    return basis
+    return [
+        _free_vector(ech, pivots, free, m.cols)
+        for free in range(m.cols)
+        if free not in pivot_set
+    ]
+
+
+def kernel_vector(m: Matrix):
+    """``kernel_basis(m)[0]``, or None when the kernel is trivial.
+
+    Eliminates only up to the first free column, which is where that vector's
+    back-substitution starts.
+    """
+    ech, pivots = _row_echelon(_cleared_rows(m), m.cols, stop_at_free=True)
+    # every column before the first free one has a pivot, so pivots == [0, ..., k-1]
+    free = len(pivots)
+    if free == m.cols:
+        return None
+    return _free_vector(ech, pivots, free, m.cols)
 
 
 def rank_exact(m: Matrix) -> int:

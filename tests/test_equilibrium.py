@@ -78,6 +78,27 @@ def test_overdetermined_systems_always_solvable():
             assert residual(f, lam) == 0
 
 
+def test_solver_returns_the_first_kernel_vector():
+    rng = random.Random(41)
+    solvable = unsolvable = 0
+    # q > r*d always has a nontrivial kernel; q <= r*d usually does not
+    for r, d, q in ((2, 2, 5), (2, 2, 6), (3, 2, 7), (2, 1, 3), (2, 2, 3), (2, 2, 4), (3, 1, 3)):
+        for _ in range(6):
+            f = random_force_system(r, d, q, 5, rng)
+            system = build_equilibrium_system(f)
+            basis = kernel_basis(system.full_matrix)
+            lam = solve_nontrivial(f)
+            if not basis:
+                assert lam is None
+                unsolvable += 1
+                continue
+            expected = {t: x for t, x in zip(system.col_labels, basis[0]) if x}
+            assert lam.canonical == expected
+            assert residual(f, lam) == 0
+            solvable += 1
+    assert solvable and unsolvable
+
+
 def test_nonzero_determinant_blocks_solutions():
     f = load_tensor(FIXTURE)
     assert det_sr(f.to_configuration()) != 0

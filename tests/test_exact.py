@@ -1,9 +1,11 @@
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
-from equidet import Matrix, det_exact, kernel_basis, permutation_sign, rank_exact
+from equidet import Matrix, det_exact, kernel_basis, kernel_vector, permutation_sign, rank_exact
+from equidet.exact import _cleared_rows, _row_echelon
 
 
 def det_cofactor(rows):
@@ -141,3 +143,83 @@ def test_kernel_of_zero_matrix_is_full():
     assert len(basis) == 3
     seen = {tuple(v) for v in basis}
     assert seen == {(1, 0, 0), (0, 1, 0), (0, 0, 1)}
+
+
+def kernel_basis_fraction(m):
+    """Reference kernel basis: the same forward pass, then a rational
+    back-substitution with the free coordinate set to 1."""
+    ech, pivots = _row_echelon(_cleared_rows(m), m.cols)
+    basis = []
+    for free in range(m.cols):
+        if free in pivots:
+            continue
+        x = [Fraction(0)] * m.cols
+        x[free] = Fraction(1)
+        for i in reversed(range(len(pivots))):
+            c = pivots[i]
+            if c > free:
+                continue
+            row = ech[i]
+            s = sum(row[j] * x[j] for j in range(c + 1, free + 1) if x[j])
+            x[c] = -Fraction(s, 1) / row[c]
+        mult = 1
+        for xj in x:
+            mult = lcm(mult, xj.denominator)
+        ints = [int(xj * mult) for xj in x]
+        g = 0
+        for v in ints:
+            g = gcd(g, v)
+        basis.append([v // g for v in ints])
+    return basis
+
+
+def _int_rows(rng, rows_n, cols_n):
+    return [[rng.randint(-6, 6) for _ in range(cols_n)] for _ in range(rows_n)]
+
+
+def _fraction_entries(rng):
+    rows_n, cols_n = rng.randint(1, 7), rng.randint(1, 7)
+    return [
+        [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(cols_n)]
+        for _ in range(rows_n)
+    ]
+
+
+def _tall(rng):
+    cols_n = rng.randint(1, 6)
+    return _int_rows(rng, cols_n + rng.randint(1, 6), cols_n)
+
+
+def _wide(rng):
+    rows_n = rng.randint(1, 6)
+    return _int_rows(rng, rows_n, rows_n + rng.randint(1, 8))
+
+
+def _rank_deficient(rng):
+    rank = rng.randint(1, 4)
+    left = _int_rows(rng, rng.randint(rank + 1, 8), rank)
+    right = _int_rows(rng, rank, rng.randint(rank + 1, 8))
+    return (Matrix(left) * Matrix(right)).data
+
+
+def _leading_zero_column(rng):
+    rows_n, cols_n = rng.randint(1, 6), rng.randint(2, 7)
+    return [[0] + row[1:] for row in _int_rows(rng, rows_n, cols_n)]
+
+
+def _zero(rng):
+    return Matrix.zeros(rng.randint(1, 6), rng.randint(1, 6)).data
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_fraction_entries, _tall, _wide, _rank_deficient, _leading_zero_column, _zero],
+    ids=lambda make: make.__name__.lstrip("_"),
+)
+def test_integer_kernel_matches_fraction_reference(make):
+    rng = random.Random(make.__name__)
+    for _ in range(80):
+        m = Matrix(make(rng))
+        basis = kernel_basis(m)
+        assert basis == kernel_basis_fraction(m)
+        assert kernel_vector(m) == (basis[0] if basis else None)
