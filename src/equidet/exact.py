@@ -1,23 +1,46 @@
-"""Exact dense linear algebra over the rationals.
+"""Exact linear algebra over the rationals, eliminated on sparse rows.
 
-Entries are Python ints or :class:`fractions.Fraction` (both expose exact
-``.numerator``/``.denominator``).  Determinants are computed fraction-free:
-denominators are cleared column-wise to an integer matrix, a Bareiss-style
-elimination runs over big ints (intermediate entries stay minors of the
-input, bounding growth), and the clearing factors are divided back out.
-Kernels and ranks use the same fraction-free forward pass.  Kernel vectors
-then come from an integer back-substitution: the free coordinate is set to
-the last Bareiss pivot, so by Cramer's rule every division is exact.
-``kernel_basis`` returns every kernel vector; ``kernel_vector`` stops the
-forward pass at the first free column and returns only the first one.  Every
-zero test is exact; there is no floating-point path.
+Matrices are dense lists of Python ints or :class:`fractions.Fraction`; any
+other nonzero entry (a float, a bool, ...) is rejected with ``ValueError``
+where it enters elimination.  There each row becomes a dict ``{col: int}`` of
+its nonzeros, scaled by the lcm of its denominators: row scaling keeps the
+null space and scales the determinant by a known factor.
+
+One fraction-free (Bareiss) forward pass serves ``det_exact``, ``rank_exact``,
+``kernel_basis`` and ``kernel_vector``; entries stay minors of the input,
+which bounds their growth.  The pass is lazy: a row with no entry in the
+pivot column is not touched.  The dense pass would multiply such a row by
+p_k / p_(k-1) at every step k; those factors telescope, so a row last updated
+while pivot t was current holds its dense value times t / prev.  Eliminating
+it with the new pivot p_k and multiplier f is therefore (x*p_k - f*y) // t,
+and a pivot row is brought up to date once as x*prev // t.  The Sylvester
+identity makes both divisions exact, and every row equals what the dense
+pass computes.
+
+Callers differ only in the order columns are taken.  Kernels and rank go left
+to right, so the free columns, and with them the kernel basis, are those of
+the ordinary echelon form.  A determinant does not depend on the order, so
+``det_exact`` takes the remaining column with the fewest active rows
+(Markowitz), which keeps fill-in low on the sparse square systems, and
+multiplies in the signs of the row and column orders.  Either way the pivot
+row is the candidate with the fewest nonzeros, lowest index first.
+
+Kernel vectors come from an integer back-substitution over each pivot row's
+nonzeros: the free coordinate is set to the last Bareiss pivot, so by
+Cramer's rule every division is exact.  ``kernel_basis`` returns every kernel
+vector; ``kernel_vector`` stops the forward pass at the first free column and
+returns only the first one.  Every zero test is exact; there is no
+floating-point path.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress, count
 from math import gcd, lcm
+
+from .combinat import permutation_sign
 
 
 class Matrix:
@@ -71,38 +94,94 @@ class Matrix:
         return all(e == 0 for row in self.data for e in row)
 
 
-def _bareiss_det(a) -> int:
-    """Determinant of an integer matrix by fraction-free elimination, in place.
+def _check_exact(*values):
+    """Raise ValueError unless every value is an int (not a bool) or a Fraction."""
+    for x in values:
+        if type(x) is not int and (isinstance(x, bool) or not isinstance(x, (int, Fraction))):
+            raise ValueError(f"{x!r} is not an exact scalar (int or Fraction)")
 
-    Pivots on the first nonzero entry of each column; row swaps flip the
-    tracked sign.  All divisions are exact by the Sylvester identity.
+
+def _sparse_rows(m: Matrix):
+    """Rows of ``m`` as ``{col: int}`` dicts of nonzeros, and the product of
+    the per-row factors that cleared their denominators.
+
+    This is where every matrix enters elimination, so it is also where
+    entries that are not exact scalars are rejected.
     """
-    n = len(a)
-    sign = 1
+    rows = []
+    clearing = 1
+    for row in m.data:
+        entries = dict(zip(compress(count(), row), filter(None, row)))
+        if any(type(x) is not int for x in entries.values()):
+            _check_exact(*entries.values())
+            den = lcm(*(x.denominator for x in entries.values()))
+            entries = {j: x.numerator * (den // x.denominator) for j, x in entries.items()}
+            clearing *= den
+        rows.append(entries)
+    return rows, clearing
+
+
+def _eliminate(rows, ncols, fewest_rows_first=False, stop_at_free=False):
+    """Lazy fraction-free forward elimination over sparse rows, in place.
+
+    Returns ``(pivot rows, pivot columns, pivot row indices)`` in elimination
+    order; every pivot row is up to date.  Columns are taken left to right,
+    or with ``fewest_rows_first`` the remaining column with the fewest active
+    rows first (lowest index on ties).  A column with no active entry is free,
+    and ``stop_at_free`` ends the pass there.
+    """
+    # active[c]: rows not yet used as pivots that have a nonzero in column c
+    active = [set() for _ in range(ncols)]
+    for i, row in enumerate(rows):
+        for j in row:
+            active[j].add(i)
+    # the pivot that was current when each row was last updated
+    stamp = [1] * len(rows)
+    remaining = list(range(ncols))
+    pivot_rows, pivot_cols, order = [], [], []
     prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k] != 0:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        rk = a[k]
-        pk = rk[k]
-        for i in range(k + 1, n):
-            ri = a[i]
-            f = ri[k]
-            if f:
-                for j in range(k + 1, n):
-                    ri[j] = (ri[j] * pk - f * rk[j]) // prev
-                ri[k] = 0
-            elif pk != prev:
-                for j in range(k + 1, n):
-                    ri[j] = ri[j] * pk // prev
+    for step in range(ncols):
+        if fewest_rows_first:
+            c = min(remaining, key=list(map(len, active)).__getitem__)
+            remaining.remove(c)
+        else:
+            c = step
+        cand = active[c]
+        if not cand:
+            if stop_at_free:
+                break
+            continue
+        p = min(cand, key=lambda i: (len(rows[i]), i))
+        rk = rows[p]
+        if stamp[p] != prev:
+            rk = rows[p] = {j: x * prev // stamp[p] for j, x in rk.items()}
+        for j in rk:
+            active[j].discard(p)
+        pk = rk[c]
+        rest = [(j, y) for j, y in rk.items() if j != c]
+        for i in cand:
+            ri = rows[i]
+            f = ri.pop(c)
+            t = stamp[i]
+            new = {j: x * pk // t for j, x in ri.items() if j not in rk}
+            for j, y in rest:
+                x = ri.get(j)
+                if x is None:
+                    new[j] = -f * y // t
+                    active[j].add(i)
+                else:
+                    v = x * pk - f * y
+                    if v:
+                        new[j] = v // t
+                    else:
+                        active[j].discard(i)
+            rows[i] = new
+            stamp[i] = pk
         prev = pk
-    return sign * a[n - 1][n - 1]
+        pivot_rows.append(rk)
+        pivot_cols.append(c)
+        order.append(p)
+    return pivot_rows, pivot_cols, order
 
 
 def det_exact(m: Matrix) -> Fraction:
@@ -112,70 +191,16 @@ def det_exact(m: Matrix) -> Fraction:
     n = m.rows
     if n == 0:
         return Fraction(1)
-    a = [list(row) for row in m.data]
-    clearing = 1
-    for j in range(n):
-        mult = 1
-        for i in range(n):
-            mult = lcm(mult, a[i][j].denominator)
-        if mult != 1:
-            clearing *= mult
-        for i in range(n):
-            a[i][j] = int(a[i][j] * mult)
-    return Fraction(_bareiss_det(a), clearing)
-
-
-def _cleared_rows(m: Matrix):
-    # row scaling preserves the null space, so clear denominators row-wise
-    out = []
-    for row in m.data:
-        mult = 1
-        for e in row:
-            mult = lcm(mult, e.denominator)
-        out.append([int(e * mult) for e in row])
-    return out
-
-
-def _row_echelon(rows, ncols, stop_at_free=False):
-    """Fraction-free forward elimination; returns (echelon rows, pivot columns).
-
-    With ``stop_at_free`` the pass stops at the first column without a pivot.
-    The rows found by then are final, and they alone fix the kernel vector of
-    that column.
-    """
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    prev = 1
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if rows[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            if stop_at_free:
-                break
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        rk = rows[r]
-        pk = rk[c]
-        for i in range(r + 1, nrows):
-            ri = rows[i]
-            f = ri[c]
-            if f:
-                for j in range(c + 1, ncols):
-                    ri[j] = (ri[j] * pk - f * rk[j]) // prev
-                ri[c] = 0
-            elif pk != prev:
-                for j in range(c + 1, ncols):
-                    ri[j] = ri[j] * pk // prev
-        prev = pk
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return rows[:r], pivots
+    rows, clearing = _sparse_rows(m)
+    ech, cols, order = _eliminate(rows, n, fewest_rows_first=True, stop_at_free=True)
+    if len(cols) < n:
+        return Fraction(0)
+    # sign(row order) * sign(column order) is the sign of the row order
+    # composed with the inverse column order
+    perm = [0] * n
+    for r, c in zip(order, cols):
+        perm[c] = r
+    return Fraction(permutation_sign(perm) * ech[-1][cols[-1]], clearing)
 
 
 def _free_vector(ech, pivots, free, ncols):
@@ -189,14 +214,14 @@ def _free_vector(ech, pivots, free, ncols):
     k = bisect_left(pivots, free)
     x = [0] * ncols
     x[free] = ech[k - 1][pivots[k - 1]] if k else 1
-    support = [free]
     for i in reversed(range(k)):
         row = ech[i]
         c = pivots[i]
-        x[c], rem = divmod(-sum(row[j] * x[j] for j in support), row[c])
+        # x[c] is still 0, as is x outside ``free`` and the pivot columns solved
+        # so far, so the whole row can be summed
+        x[c], rem = divmod(-sum(v * x[j] for j, v in row.items()), row[c])
         if rem:
             raise ArithmeticError("inexact division in integer back-substitution")
-        support.append(c)
     g = gcd(*x)
     if x[free] < 0:
         g = -g
@@ -210,7 +235,7 @@ def kernel_basis(m: Matrix):
     satisfies m . v = 0 exactly.  One basis vector per free column of the
     echelon form, with that free coordinate positive.
     """
-    ech, pivots = _row_echelon(_cleared_rows(m), m.cols)
+    ech, pivots, _ = _eliminate(_sparse_rows(m)[0], m.cols)
     pivot_set = set(pivots)
     return [
         _free_vector(ech, pivots, free, m.cols)
@@ -225,7 +250,7 @@ def kernel_vector(m: Matrix):
     Eliminates only up to the first free column, which is where that vector's
     back-substitution starts.
     """
-    ech, pivots = _row_echelon(_cleared_rows(m), m.cols, stop_at_free=True)
+    ech, pivots, _ = _eliminate(_sparse_rows(m)[0], m.cols, stop_at_free=True)
     # every column before the first free one has a pivot, so pivots == [0, ..., k-1]
     free = len(pivots)
     if free == m.cols:
@@ -235,4 +260,4 @@ def kernel_vector(m: Matrix):
 
 def rank_exact(m: Matrix) -> int:
     """Exact rank; always equals cols minus the kernel dimension."""
-    return len(_row_echelon(_cleared_rows(m), m.cols)[1])
+    return len(_eliminate(_sparse_rows(m)[0], m.cols)[1])

@@ -12,6 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .combinat import check_sorted_tuple
+from .exact import _check_exact
 
 
 def _sort_with_sign(idx):
@@ -54,6 +55,7 @@ class VectorConfiguration:
             vec = tuple(vec)
             if len(vec) != d:
                 raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
+            _check_exact(*vec)
             if any(x != 0 for x in vec):
                 self.entries[key] = vec
 
@@ -98,6 +100,7 @@ class ForceSystem:
             vec = tuple(vec)
             if len(vec) != d:
                 raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
+            _check_exact(*vec)
             if any(x != 0 for x in vec):
                 self.canonical[key] = vec
 
@@ -157,6 +160,7 @@ class CoefficientSystem:
             key = check_sorted_tuple(key, q)
             if len(key) != r:
                 raise ValueError(f"key {key} does not have arity {r}")
+            _check_exact(value)
             if value != 0:
                 self.canonical[key] = value
 

@@ -181,10 +181,15 @@ class WitnessReport:
     seed: int
 
 
-def _witness_trial(args):
-    r, d, bound, child_seed = args
-    cfg = random_configuration(r, d, bound, random.Random(child_seed))
-    return det_sr(cfg) != 0, cfg
+def _trial_configuration(job):
+    r, d, bound, child_seed = job
+    return random_configuration(r, d, bound, random.Random(child_seed))
+
+
+def _witness_trial(job):
+    # only the verdict crosses the process boundary; witness_search rebuilds
+    # the first witness from its job
+    return det_sr(_trial_configuration(job)) != 0
 
 
 def witness_search(r: int, d: int, trials: int, bound: int, seed: int, parallel: bool = False) -> WitnessReport:
@@ -203,16 +208,15 @@ def witness_search(r: int, d: int, trials: int, bound: int, seed: int, parallel:
     jobs = [(r, d, bound, rng.getrandbits(64)) for _ in range(trials)]
     if parallel:
         with ProcessPoolExecutor() as pool:
-            results = list(pool.map(_witness_trial, jobs))
+            hits = list(pool.map(_witness_trial, jobs))
     else:
-        results = [_witness_trial(job) for job in jobs]
-    nonzero_count = sum(1 for hit, _ in results if hit)
-    first_witness = next((cfg for hit, cfg in results if hit), None)
+        hits = [_witness_trial(job) for job in jobs]
+    first_witness = next((_trial_configuration(job) for job, hit in zip(jobs, hits) if hit), None)
     return WitnessReport(
         r=r,
         d=d,
         trials=trials,
-        nonzero_count=nonzero_count,
+        nonzero_count=sum(hits),
         first_witness=first_witness,
         seed=seed,
     )

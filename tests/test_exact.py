@@ -1,11 +1,11 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from math import gcd, lcm
 
 import pytest
 
 from equidet import Matrix, det_exact, kernel_basis, kernel_vector, permutation_sign, rank_exact
-from equidet.exact import _cleared_rows, _row_echelon
 
 
 def det_cofactor(rows):
@@ -88,6 +88,103 @@ def test_det_row_permutation_sign():
         rng.shuffle(perm)
         permuted = [rows[i] for i in perm]
         assert det_exact(Matrix(permuted)) == permutation_sign(perm) * det_exact(Matrix(rows))
+        col_perm = list(range(n))
+        rng.shuffle(col_perm)
+        both = [[row[j] for j in col_perm] for row in permuted]
+        expected = permutation_sign(perm) * permutation_sign(col_perm) * det_exact(Matrix(rows))
+        assert det_exact(Matrix(both)) == expected
+
+
+def det_fraction(rows):
+    """Reference determinant: plain Fraction Gaussian elimination, pivoting
+    on the first nonzero entry of each column."""
+    a = [[Fraction(x) for x in row] for row in rows]
+    n = len(a)
+    det = Fraction(1)
+    for c in range(n):
+        p = next((i for i in range(c, n) if a[i][c]), None)
+        if p is None:
+            return Fraction(0)
+        if p != c:
+            a[c], a[p] = a[p], a[c]
+            det = -det
+        det *= a[c][c]
+        for i in range(c + 1, n):
+            f = a[i][c] / a[c][c]
+            if f:
+                a[i] = [x - f * y for x, y in zip(a[i], a[c])]
+    return det
+
+
+def _sparse_entries(rng, rows_n, cols_n, fractions=False):
+    """A rows_n x cols_n matrix of density 0.1-0.5 with int or Fraction entries."""
+    density = rng.uniform(0.1, 0.5)
+
+    def entry():
+        if rng.random() >= density:
+            return 0
+        num = rng.choice([-9, -5, -3, -2, -1, 1, 2, 3, 4, 7])
+        return Fraction(num, rng.randint(1, 6)) if fractions else num
+
+    return [[entry() for _ in range(cols_n)] for _ in range(rows_n)]
+
+
+def _plant_zero_row(rng, rows):
+    rows[rng.randrange(len(rows))] = [0] * len(rows)
+
+
+def _plant_zero_column(rng, rows):
+    j = rng.randrange(len(rows))
+    for row in rows:
+        row[j] = 0
+
+
+def _plant_duplicate_row(rng, rows):
+    i, j = rng.randrange(len(rows)), rng.randrange(len(rows))
+    if i != j:
+        rows[j] = rows[i][:]
+
+
+def _plant_rank_deficiency(rng, rows):
+    # one row becomes a combination of two others
+    if len(rows) >= 3:
+        i, j, k = rng.sample(range(len(rows)), 3)
+        a, b = rng.choice([-2, -1, 1, 3]), Fraction(rng.choice([-1, 1]), rng.randint(1, 3))
+        rows[k] = [a * x + b * y for x, y in zip(rows[i], rows[j])]
+
+
+def _plant_nothing(rng, rows):
+    pass
+
+
+def _plant_transversal(rng, rows):
+    # a nonzero in every row and column, along a random permutation, so most
+    # of these determinants are nonzero and their sign is checked
+    cols = list(range(len(rows)))
+    rng.shuffle(cols)
+    for row, j in zip(rows, cols):
+        row[j] = rng.choice([-3, -1, 1, 2, 5])
+
+
+@pytest.mark.parametrize(
+    "plant",
+    [
+        _plant_nothing,
+        _plant_transversal,
+        _plant_zero_row,
+        _plant_zero_column,
+        _plant_duplicate_row,
+        _plant_rank_deficiency,
+    ],
+    ids=lambda plant: plant.__name__[len("_plant_"):],
+)
+def test_det_matches_fraction_elimination_on_sparse_matrices(plant):
+    rng = random.Random(plant.__name__)
+    for _ in range(120):
+        n = rng.randint(1, 12)
+        rows = _sparse_entries(rng, n, n, fractions=rng.random() < 0.5)
+        plant(rng, rows)
+        assert det_exact(Matrix(rows)) == det_fraction(rows)
 
 
 def test_kernel_trivial_cases():
@@ -146,29 +243,37 @@ def test_kernel_of_zero_matrix_is_full():
 
 
 def kernel_basis_fraction(m):
-    """Reference kernel basis: the same forward pass, then a rational
-    back-substitution with the free coordinate set to 1."""
-    ech, pivots = _row_echelon(_cleared_rows(m), m.cols)
+    """Reference kernel basis by plain Fraction Gauss-Jordan reduction.
+
+    One vector per free column: that coordinate 1, the other free ones 0, the
+    pivot coordinates read off the reduced rows, then scaled to a primitive
+    integer vector (the free coordinate stays positive).
+    """
+    rows = [[Fraction(x) for x in row] for row in m.data]
+    pivots = []
+    for c in range(m.cols):
+        r = len(pivots)
+        p = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            f = rows[i][c]
+            if i != r and f:
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
     basis = []
     for free in range(m.cols):
         if free in pivots:
             continue
         x = [Fraction(0)] * m.cols
         x[free] = Fraction(1)
-        for i in reversed(range(len(pivots))):
-            c = pivots[i]
-            if c > free:
-                continue
-            row = ech[i]
-            s = sum(row[j] * x[j] for j in range(c + 1, free + 1) if x[j])
-            x[c] = -Fraction(s, 1) / row[c]
-        mult = 1
-        for xj in x:
-            mult = lcm(mult, xj.denominator)
+        for i, c in enumerate(pivots):
+            x[c] = -rows[i][free]
+        mult = lcm(*(xj.denominator for xj in x))
         ints = [int(xj * mult) for xj in x]
-        g = 0
-        for v in ints:
-            g = gcd(g, v)
+        g = gcd(*ints)
         basis.append([v // g for v in ints])
     return basis
 
@@ -211,9 +316,13 @@ def _zero(rng):
     return Matrix.zeros(rng.randint(1, 6), rng.randint(1, 6)).data
 
 
+def _sparse(rng):
+    return _sparse_entries(rng, rng.randint(1, 10), rng.randint(1, 10))
+
+
 @pytest.mark.parametrize(
     "make",
-    [_fraction_entries, _tall, _wide, _rank_deficient, _leading_zero_column, _zero],
+    [_fraction_entries, _tall, _wide, _rank_deficient, _leading_zero_column, _zero, _sparse],
     ids=lambda make: make.__name__.lstrip("_"),
 )
 def test_integer_kernel_matches_fraction_reference(make):
@@ -223,3 +332,11 @@ def test_integer_kernel_matches_fraction_reference(make):
         basis = kernel_basis(m)
         assert basis == kernel_basis_fraction(m)
         assert kernel_vector(m) == (basis[0] if basis else None)
+
+
+@pytest.mark.parametrize("bad", [1.5, True, Decimal(1), "1"], ids=["float", "bool", "decimal", "str"])
+def test_elimination_rejects_non_exact_scalars(bad):
+    m = Matrix([[1, 0], [2, bad]])
+    for fn in (det_exact, kernel_basis, kernel_vector, rank_exact):
+        with pytest.raises(ValueError):
+            fn(m)

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -141,6 +142,16 @@ def test_configuration_zero_default_and_validation():
         v.get((1, 2, 3))
     with pytest.raises(ValueError):
         VectorConfiguration(2, 2, 4, {(1, 2): (1,)})
+
+
+@pytest.mark.parametrize("bad", [1.5, True, Decimal(1), "1"], ids=["float", "bool", "decimal", "str"])
+def test_constructors_reject_non_exact_scalars(bad):
+    with pytest.raises(ValueError):
+        ForceSystem(2, 2, 3, {(1, 2): (1, bad)})
+    with pytest.raises(ValueError):
+        VectorConfiguration(2, 2, 4, {(1, 2): (bad, 0)})
+    with pytest.raises(ValueError):
+        CoefficientSystem(2, 3, {(1, 3): bad})
 
 
 def test_configuration_with_slot_is_a_copy():
