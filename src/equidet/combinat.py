@@ -65,17 +65,20 @@ def permutation_sign(perm) -> int:
     """+1 for an even permutation, -1 for an odd one.
 
     ``perm`` is any sequence of distinct comparable entries; the sign is
-    (-1) to the number of inversions.
+    (-1) to the number of inversions, which has the parity of the number of
+    swaps that sort it.
     """
     p = list(perm)
     if len(set(p)) != len(p):
         raise ValueError(f"not a permutation (repeated entries): {p}")
-    inversions = 0
-    for i in range(len(p)):
-        for j in range(i + 1, len(p)):
-            if p[i] > p[j]:
-                inversions += 1
-    return -1 if inversions & 1 else 1
+    order = sorted(range(len(p)), key=p.__getitem__)
+    swaps = 0
+    for i in range(len(order)):
+        while order[i] != i:  # each swap puts one entry at its sorted slot
+            k = order[i]
+            order[i], order[k] = order[k], k
+            swaps += 1
+    return -1 if swaps & 1 else 1
 
 
 def insert_position(t, x: int) -> int:

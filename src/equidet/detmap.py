@@ -9,10 +9,15 @@ square: d * C(q-1, r-1) = C(q, r).  The determinant of that matrix is the
 configuration invariant computed by :func:`det_sr`; it is linear in every
 slot and vanishes whenever all r-subsets of some (r+1) particles share one
 vector.
+
+Configurations and force systems share one equation builder and one relation
+combination; each convention uses one sign function at both levels
+(:func:`term_sign` for configurations, :func:`_order_sign` for forces).
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,6 +40,58 @@ def term_sign(equation_tuple, i: int) -> int:
     return -1 if (i + insert_position(equation_tuple, i)) & 1 else 1
 
 
+def _order_sign(equation_tuple, i: int) -> int:
+    """Sign a force system gives the written order M + (i,): (-1) ** (|M| + 1 - p),
+    one transposition per member of M above i."""
+    return -1 if (len(equation_tuple) - bisect_right(equation_tuple, i)) & 1 else 1
+
+
+def _incidence_rows(values, d: int, q: int, eq_tuples, col_index, sign):
+    """d rows per equation tuple M; column sorted(M + {i}) holds sign(M, i) *
+    values[sorted(M + {i})], where ``values`` maps sorted r-tuples to d-vectors."""
+    data = []
+    for m in eq_tuples:
+        block = [[0] * len(col_index) for _ in range(d)]
+        for i in range(1, q + 1):
+            if i in m:
+                continue
+            key = tuple(sorted(m + (i,)))
+            vec = values.get(key)
+            if vec is None:
+                continue
+            j = col_index[key]
+            if sign(m, i) < 0:
+                vec = [-x for x in vec]
+            for coord in range(d):
+                block[coord][j] = vec[coord]
+        data.extend(block)
+    return data
+
+
+def _relation_rows(rows, r: int, d: int, q: int, sign):
+    """For every (r-2)-subset N, the d rows sum over i of sign(N, i) *
+    rows(sorted(N + {i})); ``rows`` holds d rows per (r-1)-subset of {1..q} in
+    colex order.  Each tuple N + {i, j} is reached once through i and once
+    through j, and the two terms cancel when the rows were built with the same
+    sign function, so every relation row of a full system is zero.
+    """
+    block_index = {m: b for b, m in enumerate(subsets_colex(q, r - 1))}
+    out = []
+    for anchor in subsets_colex(q, r - 2):
+        acc = [[0] * len(rows[0]) for _ in range(d)]
+        for i in range(1, q + 1):
+            if i in anchor:
+                continue
+            s = sign(anchor, i)
+            base = block_index[tuple(sorted(anchor + (i,)))] * d
+            for coord in range(d):
+                for j, x in enumerate(rows[base + coord]):
+                    if x:
+                        acc[coord][j] += x if s > 0 else -x
+        out.extend(acc)
+    return out
+
+
 def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     """Assemble the square system for a configuration with q = r*d."""
     r, d, q = v.r, v.d, v.q
@@ -44,93 +101,13 @@ def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     col_index = {t: j for j, t in enumerate(col_labels)}
     eq_tuples = subsets_colex(q - 1, r - 1)
     row_labels = tuple((m, coord) for m in eq_tuples for coord in range(1, d + 1))
-    data = [[0] * len(col_labels) for _ in row_labels]
-    for block, m in enumerate(eq_tuples):
-        members = set(m)
-        base = block * d
-        for i in range(1, q + 1):
-            if i in members:
-                continue
-            key = tuple(sorted(m + (i,)))
-            vec = v.get(key)
-            j = col_index[key]
-            if term_sign(m, i) > 0:
-                for coord in range(d):
-                    data[base + coord][j] = vec[coord]
-            else:
-                for coord in range(d):
-                    data[base + coord][j] = -vec[coord]
+    data = _incidence_rows(v.entries, d, q, eq_tuples, col_index, term_sign)
     return SystemMatrix(Matrix(data), row_labels, col_labels)
 
 
 def det_sr(v: VectorConfiguration) -> Fraction:
     """Exact determinant of the square system built from ``v``."""
     return det_exact(build_system_matrix(v).matrix)
-
-
-def equation_value(v: VectorConfiguration, lam: CoefficientSystem, equation_tuple):
-    """Left-hand side of the equation for one (r-1)-tuple, as a d-vector."""
-    total = [Fraction(0)] * v.d
-    members = set(equation_tuple)
-    for i in range(1, v.q + 1):
-        if i in members:
-            continue
-        key = tuple(sorted(equation_tuple + (i,)))
-        c = lam.get(key)
-        if not c:
-            continue
-        c = c if term_sign(equation_tuple, i) > 0 else -c
-        vec = v.get(key)
-        for coord in range(v.d):
-            total[coord] += c * vec[coord]
-    return total
-
-
-def _configuration_relations_hold(v: VectorConfiguration, lam: CoefficientSystem) -> bool:
-    # For each (r-2)-subset N, the signed sum over j of the equations for
-    # N + {j} cancels term by term: tuple N + {j, i} appears once via j and
-    # once via i, with opposite signs.
-    r, d, q = v.r, v.d, v.q
-    for anchor in subsets_colex(q, r - 2):
-        total = [Fraction(0)] * d
-        members = set(anchor)
-        for j in range(1, q + 1):
-            if j in members:
-                continue
-            rel_sign = -1 if (j + insert_position(anchor, j)) & 1 else 1
-            eq = tuple(sorted(anchor + (j,)))
-            value = equation_value(v, lam, eq)
-            for coord in range(d):
-                total[coord] += rel_sign * value[coord]
-        if any(total):
-            return False
-    return True
-
-
-def _force_relations_hold(f: ForceSystem, lam: CoefficientSystem) -> bool:
-    # Anchored at each (r-2)-subset N: summing, over i, the equation written
-    # in the order N + (i,) makes every term cancel against its (i, j)-swap,
-    # because the forces are antisymmetric and the coefficients symmetric.
-    r, d, q = f.r, f.d, f.q
-    for anchor in subsets_colex(q, r - 2):
-        total = [Fraction(0)] * d
-        members = set(anchor)
-        for i in range(1, q + 1):
-            if i in members:
-                continue
-            for j in range(1, q + 1):
-                if j in members or j == i:
-                    continue
-                idx = anchor + (i, j)
-                c = lam.get(idx)
-                if not c:
-                    continue
-                vec = f.get(idx)
-                for coord in range(d):
-                    total[coord] += c * vec[coord]
-        if any(total):
-            return False
-    return True
 
 
 def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
@@ -145,8 +122,13 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
         raise ValueError(
             f"arity mismatch: coefficients are (r={lam.r}, q={lam.q}), input is (r={v.r}, q={v.q})"
         )
-    if v.r < 2:
-        return True
     if isinstance(v, ForceSystem):
-        return _force_relations_hold(v, lam)
-    return _configuration_relations_hold(v, lam)
+        values, sign = v.canonical, _order_sign
+    else:
+        values, sign = v.entries, term_sign
+    col_labels = subsets_colex(v.q, v.r)
+    col_index = {t: j for j, t in enumerate(col_labels)}
+    rows = _incidence_rows(values, v.d, v.q, subsets_colex(v.q, v.r - 1), col_index, sign)
+    at_lam = Matrix(rows).mul_vec([lam.canonical.get(t, 0) for t in col_labels])
+    relations = _relation_rows([[x] for x in at_lam], v.r, v.d, v.q, sign)
+    return not any(row[0] for row in relations)

@@ -2,7 +2,9 @@
 
 For a force system on q particles there is one d-row vector equation per
 (r-1)-subset M of {1..q}: the unknown attached to M + {i} multiplies the
-force value read at the written order M + (i,).  The solver always works
+force value read at the written order M + (i,).  The rows come from the
+equation builder shared with ``detmap``, and the sign of that written order
+also combines them in :func:`row_dependence_holds`.  The solver always works
 with the full system, so its correctness never leans on the redundancy
 structure; the reduced system (equations avoiding particle q) is built
 alongside and their agreement is checked, not assumed.
@@ -12,9 +14,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import comb
 
-from .combinat import insert_position, subsets_colex
-from .detmap import det_sr
+from . import detmap
+from .combinat import subsets_colex
 from .exact import Matrix, kernel_basis, kernel_vector
 from .tensors import CoefficientSystem, ForceSystem
 
@@ -37,23 +40,9 @@ def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
     col_index = {t: j for j, t in enumerate(col_labels)}
     eq_tuples = subsets_colex(q, r - 1)
     row_labels = tuple((m, coord) for m in eq_tuples for coord in range(1, d + 1))
-    data = [[0] * len(col_labels) for _ in row_labels]
-    for block, m in enumerate(eq_tuples):
-        members = set(m)
-        base = block * d
-        for i in range(1, q + 1):
-            if i in members:
-                continue
-            vec = f.get(m + (i,))
-            j = col_index[tuple(sorted(m + (i,)))]
-            for coord in range(d):
-                data[base + coord][j] = vec[coord]
-    reduced = [
-        data[block * d + coord]
-        for block, m in enumerate(eq_tuples)
-        if q not in m
-        for coord in range(d)
-    ]
+    data = detmap._incidence_rows(f.canonical, d, q, eq_tuples, col_index, detmap._order_sign)
+    # colex order lists the tuples avoiding q first
+    reduced = data[: d * comb(q - 1, r - 1)]
     return EquilibriumSystem(
         r=r,
         d=d,
@@ -83,23 +72,9 @@ def residual(f: ForceSystem, lam: CoefficientSystem) -> Fraction:
         raise ValueError(
             f"arity mismatch: coefficients are (r={lam.r}, q={lam.q}), forces are (r={f.r}, q={f.q})"
         )
-    worst = Fraction(0)
-    for m in subsets_colex(f.q, f.r - 1):
-        total = [Fraction(0)] * f.d
-        members = set(m)
-        for i in range(1, f.q + 1):
-            if i in members:
-                continue
-            c = lam.get(m + (i,))
-            if not c:
-                continue
-            vec = f.get(m + (i,))
-            for coord in range(f.d):
-                total[coord] += c * vec[coord]
-        for x in total:
-            if abs(x) > worst:
-                worst = abs(x)
-    return Fraction(worst)
+    system = build_equilibrium_system(f)
+    values = system.full_matrix.mul_vec([lam.canonical.get(t, 0) for t in system.col_labels])
+    return Fraction(max(map(abs, values), default=0))
 
 
 def row_dependence_holds(f: ForceSystem) -> bool:
@@ -110,30 +85,9 @@ def row_dependence_holds(f: ForceSystem) -> bool:
     i in the sorted tuple) is the zero row, for any force system.  This is
     what justifies dropping the equations that mention particle q.
     """
-    system = build_equilibrium_system(f)
-    r, d, q = f.r, f.d, f.q
-    if r < 2:
-        return True
-    eq_tuples = subsets_colex(q, r - 1)
-    block_index = {m: b for b, m in enumerate(eq_tuples)}
-    ncols = len(system.col_labels)
-    rows = system.full_matrix.data
-    for anchor in subsets_colex(q, r - 2):
-        acc = [[0] * ncols for _ in range(d)]
-        members = set(anchor)
-        for i in range(1, q + 1):
-            if i in members:
-                continue
-            sign = -1 if (r - 1 - insert_position(anchor, i)) & 1 else 1
-            base = block_index[tuple(sorted(anchor + (i,)))] * d
-            for coord in range(d):
-                row = rows[base + coord]
-                target = acc[coord]
-                for j in range(ncols):
-                    target[j] += sign * row[j]
-        if any(x != 0 for row in acc for x in row):
-            return False
-    return True
+    rows = build_equilibrium_system(f).full_matrix.data
+    relations = detmap._relation_rows(rows, f.r, f.d, f.q, detmap._order_sign)
+    return not any(x for row in relations for x in row)
 
 
 @dataclass(frozen=True)
@@ -157,7 +111,7 @@ def theorem_consistency(f: ForceSystem) -> ConsistencyReport:
     if f.q != f.r * f.d:
         raise ValueError(f"criterion needs q = r*d, got q={f.q} with r={f.r}, d={f.d}")
     system = build_equilibrium_system(f)
-    det_value = det_sr(f.to_configuration())
+    det_value = detmap.det_sr(f.to_configuration())
     kernel = kernel_basis(system.full_matrix)
     consistent = (det_value == 0) == (len(kernel) > 0)
     reduced_kernel = kernel_basis(system.reduced_matrix)

@@ -88,7 +88,7 @@ class Matrix:
         """Matrix-vector product as a list of exact scalars."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        return [sum(a * x for a, x in zip(row, vec)) for row in self.data]
+        return [sum(a * x for a, x in zip(row, vec) if a and x) for row in self.data]
 
     def is_zero(self) -> bool:
         return all(e == 0 for row in self.data for e in row)

@@ -11,21 +11,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .combinat import check_sorted_tuple
+from .combinat import check_sorted_tuple, permutation_sign
 from .exact import _check_exact
-
-
-def _sort_with_sign(idx):
-    """Sort an index sequence; return (sorted tuple, sign), sign 0 on repeats."""
-    idx = tuple(idx)
-    inversions = 0
-    for i in range(len(idx)):
-        for j in range(i + 1, len(idx)):
-            if idx[i] == idx[j]:
-                return tuple(sorted(idx)), 0
-            if idx[i] > idx[j]:
-                inversions += 1
-    return tuple(sorted(idx)), (-1 if inversions & 1 else 1)
 
 
 def _check_index_sequence(idx, r, q):
@@ -38,6 +25,22 @@ def _check_index_sequence(idx, r, q):
     return idx
 
 
+def _vector_entries(r, d, q, entries):
+    """Validated copy of a {sorted r-tuple: d-vector} mapping, zero vectors dropped."""
+    out = {}
+    for key, vec in (entries or {}).items():
+        key = check_sorted_tuple(key, q)
+        if len(key) != r:
+            raise ValueError(f"key {key} does not have arity {r}")
+        vec = tuple(vec)
+        if len(vec) != d:
+            raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
+        _check_exact(*vec)
+        if any(x != 0 for x in vec):
+            out[key] = vec
+    return out
+
+
 class VectorConfiguration:
     """A d-vector for every sorted r-tuple over {1..q}; zero slots are implicit."""
 
@@ -47,17 +50,7 @@ class VectorConfiguration:
         self.r = r
         self.d = d
         self.q = q
-        self.entries = {}
-        for key, vec in (entries or {}).items():
-            key = check_sorted_tuple(key, q)
-            if len(key) != r:
-                raise ValueError(f"key {key} does not have arity {r}")
-            vec = tuple(vec)
-            if len(vec) != d:
-                raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
-            _check_exact(*vec)
-            if any(x != 0 for x in vec):
-                self.entries[key] = vec
+        self.entries = _vector_entries(r, d, q, entries)
 
     def get(self, key):
         key = check_sorted_tuple(key, self.q)
@@ -92,29 +85,16 @@ class ForceSystem:
         self.r = r
         self.d = d
         self.q = q
-        self.canonical = {}
-        for key, vec in (canonical or {}).items():
-            key = check_sorted_tuple(key, q)
-            if len(key) != r:
-                raise ValueError(f"key {key} does not have arity {r}")
-            vec = tuple(vec)
-            if len(vec) != d:
-                raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
-            _check_exact(*vec)
-            if any(x != 0 for x in vec):
-                self.canonical[key] = vec
+        self.canonical = _vector_entries(r, d, q, canonical)
 
     def get(self, idx):
         """Value at an arbitrary index sequence: zero on repeats, else the
         canonical entry times the sign of the sorting permutation."""
         idx = _check_index_sequence(idx, self.r, self.q)
-        key, sign = _sort_with_sign(idx)
-        if sign == 0:
+        vec = self.canonical.get(tuple(sorted(idx)))
+        if vec is None:  # also every index sequence with a repeat
             return (Fraction(0),) * self.d
-        vec = self.canonical.get(key)
-        if vec is None:
-            return (Fraction(0),) * self.d
-        if sign > 0:
+        if permutation_sign(idx) > 0:
             return vec
         return tuple(-x for x in vec)
 
@@ -167,8 +147,8 @@ class CoefficientSystem:
     def get(self, idx):
         """Value at any ordering of distinct indices; repeats are rejected."""
         idx = _check_index_sequence(idx, self.r, self.q)
-        key, sign = _sort_with_sign(idx)
-        if sign == 0:
+        key = tuple(sorted(idx))
+        if len(set(key)) != len(key):
             raise ValueError(f"repeated index in {idx}")
         return self.canonical.get(key, Fraction(0))
 

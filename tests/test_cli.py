@@ -206,3 +206,16 @@ def test_selfcheck_detects_corrupted_signs(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL" in out
     assert "dependence relations" in out
+
+
+README_GOLDEN = Path(__file__).parent / "fixtures" / "readme_cli_golden.json"
+
+
+def test_readme_examples_match_recorded_output(tmp_path, monkeypatch, capsys):
+    # Every command of the README's CLI section, in order (later commands read
+    # the files earlier ones write), against stdout and exit codes recorded
+    # from the program before its system builders were merged.
+    monkeypatch.chdir(tmp_path)
+    for case in json.loads(README_GOLDEN.read_text(encoding="utf-8")):
+        assert main(case["argv"]) == case["exit_code"], case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]

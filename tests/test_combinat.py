@@ -92,6 +92,18 @@ def test_sign_multiplicative(pair):
     assert permutation_sign(composed) == permutation_sign(p) * permutation_sign(q)
 
 
+def inversion_sign(seq):
+    # independent oracle: (-1) to the number of out-of-order pairs
+    inversions = sum(1 for i in range(len(seq)) for j in range(i + 1, len(seq)) if seq[i] > seq[j])
+    return -1 if inversions % 2 else 1
+
+
+@given(st.lists(st.integers(-60, 60), unique=True, max_size=14))
+def test_sign_matches_inversion_count(entries):
+    # non-contiguous entries, as when signing an ordering of particle indices
+    assert permutation_sign(entries) == inversion_sign(entries)
+
+
 def test_insert_position_examples():
     assert insert_position((2, 5), 1) == 1
     assert insert_position((2, 5), 3) == 2

@@ -16,8 +16,10 @@ from equidet import (
     random_coefficients,
     random_configuration,
     random_force_system,
+    row_dependence_holds,
     subsets_colex,
 )
+from equidet.detmap import term_sign
 
 # Independent cofactor oracle computed before the builder existed: the
 # basis-pattern configuration below has determinant -1.
@@ -74,6 +76,35 @@ def test_labels_and_shape():
             (m, coord) for m in subsets_colex(q - 1, r - 1) for coord in range(1, d + 1)
         )
         assert system.row_labels == expected_rows
+
+
+@pytest.mark.parametrize("kind", ["int", "sparse_fraction"])
+@pytest.mark.parametrize("r,d", [(2, 2), (3, 2), (4, 2)])
+def test_system_matrix_holds_accessor_values(r, d, kind):
+    # every cell of the square system, against term_sign and the accessor
+    rng = random.Random(50 + r)
+    q = r * d
+    if kind == "int":
+        v = random_configuration(r, d, 5, rng)
+    else:
+        v = VectorConfiguration(r, d, q, {
+            t: tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
+            for t in combinations(range(1, q + 1), r)
+            if rng.random() < 0.3
+        })
+    system = build_system_matrix(v)
+    col = {t: j for j, t in enumerate(system.col_labels)}
+    expected = []
+    for m in subsets_colex(q - 1, r - 1):
+        block = [[0] * len(col) for _ in range(d)]
+        for i in range(1, q + 1):
+            if i in m:
+                continue
+            key = tuple(sorted(m + (i,)))
+            for coord in range(d):
+                block[coord][col[key]] = term_sign(m, i) * v.get(key)[coord]
+        expected.extend(block)
+    assert system.matrix.data == expected
 
 
 def test_pair_row_block_sign_pattern():
@@ -191,16 +222,27 @@ def test_dependence_relations_force_form():
         assert check_dependence_relations(f, lam)
 
 
-def test_dependence_relations_detect_corrupted_sign_table(monkeypatch):
+@pytest.mark.parametrize("form", ["configuration", "forces"])
+def test_dependence_relations_detect_corrupted_sign_table(monkeypatch, form):
     # designed sensitivity: corrupting the per-term sign must break cancellation
     import equidet.detmap as detmap
 
     rng = random.Random(28)
-    cfg = random_configuration(2, 2, 5, rng)
-    lam = random_coefficients(2, 4, 5, rng)
-    assert check_dependence_relations(cfg, lam)
-    monkeypatch.setattr(detmap, "term_sign", lambda equation_tuple, i: 1)
-    assert not detmap.check_dependence_relations(cfg, lam)
+    if form == "configuration":
+        x = random_configuration(2, 2, 5, rng)
+        lam = random_coefficients(2, 4, 5, rng)
+        sign_name = "term_sign"
+    else:
+        # at r = 2 every force term keeps its written order (sign +1), so r = 3
+        x = random_force_system(3, 2, 6, 5, rng)
+        lam = random_coefficients(3, 6, 5, rng)
+        sign_name = "_order_sign"
+        assert row_dependence_holds(x)
+    assert check_dependence_relations(x, lam)
+    monkeypatch.setattr(detmap, sign_name, lambda equation_tuple, i: 1)
+    assert not detmap.check_dependence_relations(x, lam)
+    if form == "forces":
+        assert not row_dependence_holds(x)
 
 
 def test_relation_mismatched_arity_rejected():

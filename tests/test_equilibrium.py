@@ -1,6 +1,7 @@
 import random
 from pathlib import Path
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -40,19 +41,39 @@ def test_system_shapes():
     assert system.reduced_matrix.rows == 2 * comb(5, 2)
 
 
-def test_columns_hold_accessor_values():
-    rng = random.Random(31)
-    f = random_force_system(2, 2, 4, 5, rng)
+def random_forces(r, d, q, kind, rng):
+    """Dense ints from the package generator, or Fraction entries that are
+    dense or sparse (about a third of the canonical tuples present)."""
+    if kind == "int":
+        return random_force_system(r, d, q, 5, rng)
+    density = 1.0 if kind == "fraction" else 0.3
+    return ForceSystem(r, d, q, {
+        t: tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(d))
+        for t in combinations(range(1, q + 1), r)
+        if rng.random() < density
+    })
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "sparse"])
+@pytest.mark.parametrize("r", [2, 3, 4])
+def test_columns_hold_accessor_values(r, kind):
+    # every cell of the full matrix, against the accessor at the written order
+    rng = random.Random(29 + r)  # r = 2 is the original seed-31 case
+    d, q = 2, r + 2
+    f = random_forces(r, d, q, kind, rng)
     system = build_equilibrium_system(f)
     col = {t: j for j, t in enumerate(system.col_labels)}
-    for block, m in enumerate(subsets_colex(4, 1)):
-        for i in range(1, 5):
+    expected = []
+    for m in subsets_colex(q, r - 1):
+        block = [[0] * len(col) for _ in range(d)]
+        for i in range(1, q + 1):
             if i in m:
                 continue
-            expected = f.get(m + (i,))
-            j = col[tuple(sorted(m + (i,)))]
-            for coord in range(2):
-                assert system.full_matrix.data[2 * block + coord][j] == expected[coord]
+            vec = f.get(m + (i,))
+            for coord in range(d):
+                block[coord][col[tuple(sorted(m + (i,)))]] = vec[coord]
+        expected.extend(block)
+    assert system.full_matrix.data == expected
 
 
 def test_reduced_rows_are_the_particle_q_free_prefix():
@@ -122,6 +143,38 @@ def test_residual_of_zero_coefficients_is_zero():
     rng = random.Random(34)
     f = random_force_system(2, 2, 5, 5, rng)
     assert residual(f, CoefficientSystem(2, 5)) == 0
+
+
+def residual_reference(f, lam):
+    # independent of the system builder: each equation summed through the accessors
+    worst = Fraction(0)
+    for m in combinations(range(1, f.q + 1), f.r - 1):
+        for coord in range(f.d):
+            total = sum(
+                lam.get(m + (i,)) * f.get(m + (i,))[coord]
+                for i in range(1, f.q + 1)
+                if i not in m
+            )
+            worst = max(worst, abs(total))
+    return worst
+
+
+@pytest.mark.parametrize("r,d,q", [(2, 2, 4), (2, 3, 6), (3, 2, 6), (3, 2, 7), (4, 1, 6)])
+def test_residual_matches_accessor_reference(r, d, q):
+    rng = random.Random(100 * r + 10 * d + q)
+    nonzero = 0
+    for kind in ("fraction", "sparse"):
+        for _ in range(5):
+            f = random_forces(r, d, q, kind, rng)
+            lam = CoefficientSystem(r, q, {
+                t: Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                for t in combinations(range(1, q + 1), r)
+                if rng.random() < 0.5
+            })
+            expected = residual_reference(f, lam)
+            assert residual(f, lam) == expected
+            nonzero += expected != 0
+    assert nonzero >= 5
 
 
 def test_residual_arity_mismatch():
