@@ -24,7 +24,7 @@ from math import comb
 
 from .combinat import subsets_colex
 from .detmap import build_system_matrix, check_dependence_relations, det_sr
-from .equilibrium import residual, row_dependence_holds, solve_nontrivial, theorem_consistency
+from .equilibrium import row_dependence_holds, solve_nontrivial, theorem_consistency
 from .exact import det_exact
 from .tensorfile import dump_tensor, format_scalar, load_tensor, tensor_to_json
 from .tensors import ForceSystem
@@ -74,13 +74,14 @@ def cmd_solve(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    lam = solve_nontrivial(obj)
+    try:
+        lam = solve_nontrivial(obj)
+    except ArithmeticError:
+        print("internal error: solver returned a nonzero-residual candidate", file=sys.stderr)
+        return 1
     if lam is None:
         print("UNSOLVABLE")
     else:
-        if residual(obj, lam) != 0:
-            print("internal error: solver returned a nonzero-residual candidate", file=sys.stderr)
-            return 1
         print("SOLVABLE")
         for key in sorted(lam.canonical, key=lambda t: t[::-1]):
             print(f"lambda{list(key)} = {lam.canonical[key]}")
@@ -144,63 +145,65 @@ def cmd_witness_search(args) -> int:
 # ---------------------------------------------------------------------------
 # invariant suite shared by selfcheck and verify-relations
 
+def _vanishing(rng, r, d) -> bool:
+    cfg = random_configuration(r, d, 5, rng)
+    clique = sorted(rng.sample(range(1, r * d + 1), r + 1))
+    shared = tuple(rng.randint(-5, 5) for _ in range(d))
+    for sub in combinations(clique, r):
+        cfg = cfg.with_slot(sub, shared)
+    return det_sr(cfg) == 0
+
+
+def _relations(rng, r, d) -> bool:
+    q = r * d
+    cfg = random_configuration(r, d, 5, rng)
+    if not check_dependence_relations(cfg, random_coefficients(r, q, 5, rng)):
+        return False
+    forces = random_force_system(r, d, q, 5, rng)
+    lam = random_coefficients(r, q, 5, rng)
+    return check_dependence_relations(forces, lam) and row_dependence_holds(forces)
+
+
+def _multilinearity(rng, r, d) -> bool:
+    cfg = random_configuration(r, d, 5, rng)
+    slot = rng.choice(subsets_colex(r * d, r))
+    u = tuple(rng.randint(-5, 5) for _ in range(d))
+    w = tuple(rng.randint(-5, 5) for _ in range(d))
+    alpha, beta = rng.randint(-4, 4), rng.randint(-4, 4)
+    mixed = tuple(alpha * a + beta * b for a, b in zip(u, w))
+    lhs = det_sr(cfg.with_slot(slot, mixed))
+    return lhs == alpha * det_sr(cfg.with_slot(slot, u)) + beta * det_sr(cfg.with_slot(slot, w))
+
+
+def _scaling(rng, r, d) -> bool:
+    cfg = random_configuration(r, d, 5, rng)
+    slot = rng.choice(subsets_colex(r * d, r))
+    c = rng.choice((-3, -2, 2, 3, 5))
+    scaled = cfg.with_slot(slot, tuple(c * x for x in cfg.get(slot)))
+    return det_sr(scaled) == c * det_sr(cfg)
+
+
+def _consistency(rng, r, d) -> bool:
+    report = theorem_consistency(random_force_system(r, d, r * d, 5, rng))
+    return report.consistent and report.reduced_matches_full
+
+
+_PROPERTIES = {
+    "vanishing": _vanishing,
+    "relations": _relations,
+    "multilinearity": _multilinearity,
+    "scaling": _scaling,
+    "consistency": _consistency,
+}
+
+
 def run_property(kind: str, r: int, d: int, seed: int, trials: int) -> bool:
     """One named invariant, checked on ``trials`` seeded random inputs."""
+    check = _PROPERTIES.get(kind)
+    if check is None:
+        raise ValueError(f"unknown property kind {kind!r}")
     rng = random.Random(seed)
-    q = r * d
-    if kind == "vanishing":
-        for _ in range(trials):
-            cfg = random_configuration(r, d, 5, rng)
-            clique = sorted(rng.sample(range(1, q + 1), r + 1))
-            shared = tuple(rng.randint(-5, 5) for _ in range(d))
-            for sub in combinations(clique, r):
-                cfg = cfg.with_slot(sub, shared)
-            if det_sr(cfg) != 0:
-                return False
-        return True
-    if kind == "relations":
-        for _ in range(trials):
-            cfg = random_configuration(r, d, 5, rng)
-            lam = random_coefficients(r, q, 5, rng)
-            if not check_dependence_relations(cfg, lam):
-                return False
-            forces = random_force_system(r, d, q, 5, rng)
-            if not check_dependence_relations(forces, random_coefficients(r, q, 5, rng)):
-                return False
-            if not row_dependence_holds(forces):
-                return False
-        return True
-    if kind == "multilinearity":
-        slot_pool = subsets_colex(q, r)
-        for _ in range(trials):
-            cfg = random_configuration(r, d, 5, rng)
-            slot = rng.choice(slot_pool)
-            u = tuple(rng.randint(-5, 5) for _ in range(d))
-            w = tuple(rng.randint(-5, 5) for _ in range(d))
-            alpha, beta = rng.randint(-4, 4), rng.randint(-4, 4)
-            mixed = tuple(alpha * a + beta * b for a, b in zip(u, w))
-            lhs = det_sr(cfg.with_slot(slot, mixed))
-            rhs = alpha * det_sr(cfg.with_slot(slot, u)) + beta * det_sr(cfg.with_slot(slot, w))
-            if lhs != rhs:
-                return False
-        return True
-    if kind == "scaling":
-        slot_pool = subsets_colex(q, r)
-        for _ in range(trials):
-            cfg = random_configuration(r, d, 5, rng)
-            slot = rng.choice(slot_pool)
-            c = rng.choice((-3, -2, 2, 3, 5))
-            scaled = cfg.with_slot(slot, tuple(c * x for x in cfg.get(slot)))
-            if det_sr(scaled) != c * det_sr(cfg):
-                return False
-        return True
-    if kind == "consistency":
-        for _ in range(trials):
-            report = theorem_consistency(random_force_system(r, d, q, 5, rng))
-            if not (report.consistent and report.reduced_matches_full):
-                return False
-        return True
-    raise ValueError(f"unknown property kind {kind!r}")
+    return all(check(rng, r, d) for _ in range(trials))
 
 
 _SELFCHECK = (
@@ -216,23 +219,16 @@ _SELFCHECK = (
 
 
 def cmd_selfcheck(args) -> int:
-    jobs = [
-        (name, kind, r, d, args.seed + index, args.trials)
-        for index, (name, kind, r, d) in enumerate(_SELFCHECK)
-    ]
+    jobs = [(kind, r, d, args.seed + index, args.trials)
+            for index, (_, kind, r, d) in enumerate(_SELFCHECK)]
     if args.parallel:
         with ProcessPoolExecutor() as pool:
-            futures = [pool.submit(run_property, kind, r, d, seed, trials)
-                       for _, kind, r, d, seed, trials in jobs]
-            outcomes = [f.result() for f in futures]
+            outcomes = list(pool.map(run_property, *zip(*jobs)))
     else:
-        outcomes = [run_property(kind, r, d, seed, trials)
-                    for _, kind, r, d, seed, trials in jobs]
-    failed = []
-    for (name, _, _, _, _, trials), ok in zip(jobs, outcomes):
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {trials} trials")
-        if not ok:
-            failed.append(name)
+        outcomes = [run_property(*job) for job in jobs]
+    for (name, *_), ok in zip(_SELFCHECK, outcomes):
+        print(f"{'PASS' if ok else 'FAIL'} {name}: {args.trials} trials")
+    failed = [name for (name, *_), ok in zip(_SELFCHECK, outcomes) if not ok]
     if failed:
         print(f"selfcheck FAILED: {', '.join(failed)}")
         return 1
@@ -241,16 +237,10 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_verify_relations(args) -> int:
-    checks = (
-        (f"tuple-equation relations (r={args.r}, d={args.d})", "relations"),
-    )
-    status = 0
-    for name, kind in checks:
-        ok = run_property(kind, args.r, args.d, args.seed, args.trials)
-        print(f"{'PASS' if ok else 'FAIL'} {name}: {args.trials} trials")
-        if not ok:
-            status = 1
-    return status
+    ok = run_property("relations", args.r, args.d, args.seed, args.trials)
+    name = f"tuple-equation relations (r={args.r}, d={args.d})"
+    print(f"{'PASS' if ok else 'FAIL'} {name}: {args.trials} trials")
+    return 0 if ok else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -56,11 +56,14 @@ def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
 
 def solve_nontrivial(f: ForceSystem):
     """A nonzero symmetric coefficient family solving every equation exactly,
-    or None when only the trivial rescaling works."""
+    or None when only the trivial rescaling works.  The family is checked on
+    the matrix that was eliminated; ``ArithmeticError`` if any equation is nonzero."""
     system = build_equilibrium_system(f)
     vec = kernel_vector(system.full_matrix)
     if vec is None:
         return None
+    if any(system.full_matrix.mul_vec(vec)):
+        raise ArithmeticError("kernel vector does not solve the equilibrium system")
     canonical = {t: x for t, x in zip(system.col_labels, vec) if x}
     return CoefficientSystem(f.r, f.q, canonical)
 

@@ -90,9 +90,6 @@ class Matrix:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
         return [sum(a * x for a, x in zip(row, vec) if a and x) for row in self.data]
 
-    def is_zero(self) -> bool:
-        return all(e == 0 for row in self.data for e in row)
-
 
 def _check_exact(*values):
     """Raise ValueError unless every value is an int (not a bool) or a Fraction."""

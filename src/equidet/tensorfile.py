@@ -29,8 +29,8 @@ from .tensors import ForceSystem, VectorConfiguration
 _SCALAR_RE = re.compile(r"-?\d+(/\d+)?\Z")
 
 
-def parse_scalar(text) -> Fraction:
-    """Exact scalar from a decimal-integer or p/q string."""
+def parse_scalar(text) -> int | Fraction:
+    """Exact scalar: an ``int`` from a decimal-integer string, a ``Fraction`` from p/q."""
     if not isinstance(text, str) or not _SCALAR_RE.match(text):
         raise ValueError(f"bad scalar {text!r}: expected an integer or p/q string")
     if "/" in text:
@@ -38,7 +38,7 @@ def parse_scalar(text) -> Fraction:
         if int(den) == 0:
             raise ValueError(f"bad scalar {text!r}: zero denominator")
         return Fraction(int(num), int(den))
-    return Fraction(int(text))
+    return int(text)
 
 
 def format_scalar(x) -> str:
@@ -110,7 +110,7 @@ def load_tensor(path):
     with open(path, encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return tensor_from_json(doc)
 

@@ -110,6 +110,81 @@ def test_solve_rejects_configuration_kind(tmp_path):
     assert main(["solve", "--input", write_min_config(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["det", "solve"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
+    path = tmp_path / "nested.json"
+    path.write_text("[" * 100_000, encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 2
+    assert "error:" in capsys.readouterr().err
+
+
+def test_solve_exits_1_when_the_kernel_vector_fails_its_certificate(tmp_path, monkeypatch, capsys):
+    import random
+
+    import equidet.equilibrium as equilibrium
+    from equidet import build_equilibrium_system, kernel_vector, random_force_system
+
+    f = random_force_system(2, 2, 5, 5, random.Random(70))
+    matrix = build_equilibrium_system(f).full_matrix
+    bad = kernel_vector(matrix)
+    bad[next(j for j in range(matrix.cols) if any(row[j] for row in matrix.data))] += 1
+    assert any(matrix.mul_vec(bad))
+    monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: list(bad))
+    path = tmp_path / "f.json"
+    dump_tensor(f, path)
+    assert main(["solve", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err
+    assert "SOLVABLE" not in captured.out
+
+
+def _random_tensor(kind, seed):
+    import random
+
+    from equidet import cross_product_forces, random_configuration, random_force_system
+
+    rng = random.Random(seed)
+    if kind == "forces-square":
+        return random_force_system(2, 2, 4, 5, rng)
+    if kind == "forces-overdetermined":
+        return random_force_system(2, 2, 5, 5, rng)
+    if kind == "cross-product":  # square and solvable: det 0 and printed lambdas
+        return cross_product_forces([tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(9)])
+    return random_configuration(3, 1, 5, rng)
+
+
+@pytest.mark.parametrize(
+    "kind,exit_codes",
+    [
+        ("forces-square", [0, 0, 0]),
+        ("forces-overdetermined", [3, 3, 0]),
+        ("cross-product", [0, 0, 0]),
+        ("configuration", [0, 0, 2]),
+    ],
+)
+def test_integer_and_unit_fraction_files_print_identically(tmp_path, capsys, kind, exit_codes):
+    # integer strings load as int, "k/1" as Fraction; det, det --matrix and
+    # solve must not tell the two apart
+    from equidet import tensor_to_json
+
+    doc = tensor_to_json(_random_tensor(kind, 80))
+    assert all("/" not in x for entry in doc["entries"] for x in entry["vec"])
+    as_ratios = json.loads(json.dumps(doc))
+    for entry in as_ratios["entries"]:
+        entry["vec"] = [f"{x}/1" for x in entry["vec"]]
+    outputs = []
+    for name, document in (("int.json", doc), ("ratio.json", as_ratios)):
+        path = tmp_path / name
+        path.write_text(json.dumps(document), encoding="utf-8")
+        runs = []
+        for argv in (["det"], ["det", "--matrix"], ["solve"]):
+            code = main(argv + ["--input", str(path)])
+            runs.append((code, capsys.readouterr().out))
+        outputs.append(runs)
+    assert outputs[0] == outputs[1]
+    assert [code for code, _ in outputs[0]] == exit_codes
+
+
 def test_example_cross_product(tmp_path, capsys):
     out_path = tmp_path / "cross.json"
     assert main(["example", "cross-product", "--output", str(out_path), "--seed", "1"]) == 0

@@ -120,6 +120,23 @@ def test_solver_returns_the_first_kernel_vector():
     assert solvable and unsolvable
 
 
+def test_solver_rejects_a_kernel_vector_that_does_not_solve_the_system(monkeypatch):
+    import equidet.equilibrium as equilibrium
+    from equidet import kernel_vector
+
+    f = random_force_system(2, 2, 5, 5, random.Random(70))
+    system = build_equilibrium_system(f)
+    matrix = system.full_matrix
+    bad = kernel_vector(matrix)
+    # shifting a coordinate whose column is nonzero moves A.v off zero
+    bad[next(j for j in range(matrix.cols) if any(row[j] for row in matrix.data))] += 1
+    lam = CoefficientSystem(2, 5, {t: x for t, x in zip(system.col_labels, bad) if x})
+    assert residual(f, lam) != 0
+    monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: list(bad))
+    with pytest.raises(ArithmeticError):
+        solve_nontrivial(f)
+
+
 def test_nonzero_determinant_blocks_solutions():
     f = load_tensor(FIXTURE)
     assert det_sr(f.to_configuration()) != 0

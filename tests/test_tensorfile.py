@@ -30,6 +30,14 @@ def test_parse_scalar_accepts_integers_and_fractions():
     assert parse_scalar("10/4") == Fraction(5, 2)
 
 
+def test_integer_strings_load_as_int_and_ratios_as_fraction():
+    assert type(parse_scalar("3")) is int
+    assert type(parse_scalar("-12")) is int
+    assert type(parse_scalar("6/3")) is Fraction and parse_scalar("6/3") == 2
+    f = tensor_from_json(make_doc())
+    assert [type(x) for x in f.canonical[(1, 2)]] == [int, Fraction]
+
+
 @pytest.mark.parametrize("bad", ["1.5", "1/-2", "", "a", "1e3", " 2", "3/0", None, 3])
 def test_parse_scalar_rejects_non_exact_forms(bad):
     with pytest.raises(ValueError):
