@@ -8,8 +8,8 @@ Subcommands:
     verify-relations check the redundancy identities on random inputs
     selfcheck        fast invariant suite over the whole pipeline
 
-Exit codes: 0 success, 1 check failure, 2 input error, 3 precondition
-violation (determinant requested with q != r*d).
+Exit codes: 0 success, 1 check failure, 2 input error (OSError or ValueError),
+3 precondition violation (determinant requested with q != r*d).
 """
 
 from __future__ import annotations
@@ -40,11 +40,7 @@ from .witnesses import (
 
 
 def cmd_det(args) -> int:
-    try:
-        obj = load_tensor(args.input)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    obj = load_tensor(args.input)
     cfg = obj.to_configuration() if isinstance(obj, ForceSystem) else obj
     if cfg.q != cfg.r * cfg.d:
         print(
@@ -67,13 +63,9 @@ def cmd_det(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    try:
-        obj = load_tensor(args.input)
-        if not isinstance(obj, ForceSystem):
-            raise ValueError("solve needs a tensor file with kind='forces'")
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    obj = load_tensor(args.input)
+    if not isinstance(obj, ForceSystem):
+        raise ValueError("solve needs a tensor file with kind='forces'")
     try:
         lam = solve_nontrivial(obj)
     except ArithmeticError:
@@ -102,31 +94,23 @@ def cmd_example(args) -> int:
     def random_point(dim):
         return tuple(rng.randint(-args.bound, args.bound) for _ in range(dim))
 
-    try:
-        if args.name == "cross-product":
-            obj = cross_product_forces([random_point(3) for _ in range(9)])
-        elif args.name == "differences":
-            obj = difference_configuration([random_point(args.d) for _ in range(2 * args.d)])
-        else:  # wedge
-            count = 3 * comb(args.s, 2)
-            obj = wedge_forces(args.s, [random_point(args.s) for _ in range(count)])
-        dump_tensor(obj, args.output)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    if args.name == "cross-product":
+        obj = cross_product_forces([random_point(3) for _ in range(9)])
+    elif args.name == "differences":
+        obj = difference_configuration([random_point(args.d) for _ in range(2 * args.d)])
+    else:  # wedge
+        count = 3 * comb(args.s, 2)
+        obj = wedge_forces(args.s, [random_point(args.s) for _ in range(count)])
+    dump_tensor(obj, args.output)
     kind = "forces" if isinstance(obj, ForceSystem) else "configuration"
     print(f"wrote {args.output}: kind={kind} r={obj.r} d={obj.d} q={obj.q} seed={args.seed}")
     return 0
 
 
 def cmd_witness_search(args) -> int:
-    try:
-        report = witness_search(
-            args.r, args.d, args.trials, args.bound, args.seed, parallel=args.parallel
-        )
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    report = witness_search(
+        args.r, args.d, args.trials, args.bound, args.seed, parallel=args.parallel
+    )
     doc = {
         "r": report.r,
         "d": report.d,
@@ -202,6 +186,8 @@ def run_property(kind: str, r: int, d: int, seed: int, trials: int) -> bool:
     check = _PROPERTIES.get(kind)
     if check is None:
         raise ValueError(f"unknown property kind {kind!r}")
+    if min(r, d, trials) < 1:
+        raise ValueError(f"need r >= 1, d >= 1 and trials >= 1, got r={r}, d={d}, trials={trials}")
     rng = random.Random(seed)
     return all(check(rng, r, d) for _ in range(trials))
 
@@ -295,7 +281,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    return args.func(args)
+    # printed integers are computed and may pass the default 4300-digit str() limit
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(0)
+    try:
+        return args.func(args)
+    except (OSError, ValueError) as exc:  # bad input or arguments
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

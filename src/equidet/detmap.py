@@ -21,7 +21,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .combinat import insert_position, subsets_colex
+from .combinat import subsets_colex
 from .exact import Matrix, det_exact
 from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration
 
@@ -36,8 +36,9 @@ class SystemMatrix:
 
 
 def term_sign(equation_tuple, i: int) -> int:
-    """Sign of the tuple-(M + {i}) term inside equation M."""
-    return -1 if (i + insert_position(equation_tuple, i)) & 1 else 1
+    """Sign of the tuple-(M + {i}) term inside equation M: (-1) ** (i + p),
+    p = bisect_right(M, i) + 1 the 1-based slot of i in sorted(M + {i})."""
+    return 1 if (i + bisect_right(equation_tuple, i)) & 1 else -1
 
 
 def _order_sign(equation_tuple, i: int) -> int:
@@ -46,12 +47,14 @@ def _order_sign(equation_tuple, i: int) -> int:
     return -1 if (len(equation_tuple) - bisect_right(equation_tuple, i)) & 1 else 1
 
 
-def _incidence_rows(values, d: int, q: int, eq_tuples, col_index, sign):
-    """d rows per equation tuple M; column sorted(M + {i}) holds sign(M, i) *
-    values[sorted(M + {i})], where ``values`` maps sorted r-tuples to d-vectors."""
-    data = []
+def _incidence_rows(values, r: int, d: int, q: int, eq_tuples, sign) -> Matrix:
+    """d sparse rows per equation tuple M over the r-tuples of {1..q} in colex
+    order; column sorted(M + {i}) holds sign(M, i) * values[sorted(M + {i})],
+    where ``values`` maps sorted r-tuples to d-vectors."""
+    col_index = {t: j for j, t in enumerate(subsets_colex(q, r))}
+    rows = []
     for m in eq_tuples:
-        block = [[0] * len(col_index) for _ in range(d)]
+        block = [{} for _ in range(d)]
         for i in range(1, q + 1):
             if i in m:
                 continue
@@ -60,36 +63,31 @@ def _incidence_rows(values, d: int, q: int, eq_tuples, col_index, sign):
             if vec is None:
                 continue
             j = col_index[key]
-            if sign(m, i) < 0:
-                vec = [-x for x in vec]
-            for coord in range(d):
-                block[coord][j] = vec[coord]
-        data.extend(block)
-    return data
+            negate = sign(m, i) < 0
+            for row, x in zip(block, vec):
+                if x:
+                    row[j] = -x if negate else x
+        rows.extend(block)
+    return Matrix._from_sparse(rows, len(col_index))
 
 
-def _relation_rows(rows, r: int, d: int, q: int, sign):
-    """For every (r-2)-subset N, the d rows sum over i of sign(N, i) *
-    rows(sorted(N + {i})); ``rows`` holds d rows per (r-1)-subset of {1..q} in
-    colex order.  Each tuple N + {i, j} is reached once through i and once
-    through j, and the two terms cancel when the rows were built with the same
-    sign function, so every relation row of a full system is zero.
+def _relation_rows(r: int, d: int, q: int, sign) -> Matrix:
+    """Row combinations of a full system (d rows per (r-1)-subset of {1..q} in
+    colex order): for every (r-2)-subset N, the d rows sum over i of sign(N, i)
+    * rows(sorted(N + {i})).  Each tuple N + {i, j} is reached once through i
+    and once through j, and the two terms cancel when the rows were built with
+    the same sign function, so this matrix times a full system is zero.
     """
     block_index = {m: b for b, m in enumerate(subsets_colex(q, r - 1))}
-    out = []
+    rows = []
     for anchor in subsets_colex(q, r - 2):
-        acc = [[0] * len(rows[0]) for _ in range(d)]
-        for i in range(1, q + 1):
-            if i in anchor:
-                continue
-            s = sign(anchor, i)
-            base = block_index[tuple(sorted(anchor + (i,)))] * d
-            for coord in range(d):
-                for j, x in enumerate(rows[base + coord]):
-                    if x:
-                        acc[coord][j] += x if s > 0 else -x
-        out.extend(acc)
-    return out
+        terms = [
+            (block_index[tuple(sorted(anchor + (i,)))] * d, sign(anchor, i))
+            for i in range(1, q + 1)
+            if i not in anchor
+        ]
+        rows.extend({base + coord: s for base, s in terms} for coord in range(d))
+    return Matrix._from_sparse(rows, d * len(block_index))
 
 
 def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
@@ -97,12 +95,10 @@ def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     r, d, q = v.r, v.d, v.q
     if q != r * d:
         raise ValueError(f"square system needs q = r*d, got q={q} with r={r}, d={d}")
-    col_labels = subsets_colex(q, r)
-    col_index = {t: j for j, t in enumerate(col_labels)}
     eq_tuples = subsets_colex(q - 1, r - 1)
     row_labels = tuple((m, coord) for m in eq_tuples for coord in range(1, d + 1))
-    data = _incidence_rows(v.entries, d, q, eq_tuples, col_index, term_sign)
-    return SystemMatrix(Matrix(data), row_labels, col_labels)
+    matrix = _incidence_rows(v.entries, r, d, q, eq_tuples, term_sign)
+    return SystemMatrix(matrix, row_labels, subsets_colex(q, r))
 
 
 def det_sr(v: VectorConfiguration) -> Fraction:
@@ -126,9 +122,6 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
         values, sign = v.canonical, _order_sign
     else:
         values, sign = v.entries, term_sign
-    col_labels = subsets_colex(v.q, v.r)
-    col_index = {t: j for j, t in enumerate(col_labels)}
-    rows = _incidence_rows(values, v.d, v.q, subsets_colex(v.q, v.r - 1), col_index, sign)
-    at_lam = Matrix(rows).mul_vec([lam.canonical.get(t, 0) for t in col_labels])
-    relations = _relation_rows([[x] for x in at_lam], v.r, v.d, v.q, sign)
-    return not any(row[0] for row in relations)
+    system = _incidence_rows(values, v.r, v.d, v.q, subsets_colex(v.q, v.r - 1), sign)
+    at_lam = system.mul_vec([lam.canonical.get(t, 0) for t in subsets_colex(v.q, v.r)])
+    return not any(_relation_rows(v.r, v.d, v.q, sign).mul_vec(at_lam))

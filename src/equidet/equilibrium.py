@@ -36,21 +36,19 @@ class EquilibriumSystem:
 def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
     """All per-tuple force-balance equations for ``f``, full and reduced."""
     r, d, q = f.r, f.d, f.q
-    col_labels = subsets_colex(q, r)
-    col_index = {t: j for j, t in enumerate(col_labels)}
     eq_tuples = subsets_colex(q, r - 1)
     row_labels = tuple((m, coord) for m in eq_tuples for coord in range(1, d + 1))
-    data = detmap._incidence_rows(f.canonical, d, q, eq_tuples, col_index, detmap._order_sign)
+    full = detmap._incidence_rows(f.canonical, r, d, q, eq_tuples, detmap._order_sign)
     # colex order lists the tuples avoiding q first
-    reduced = data[: d * comb(q - 1, r - 1)]
+    reduced = Matrix._from_sparse(full.sparse[: d * comb(q - 1, r - 1)], full.cols)
     return EquilibriumSystem(
         r=r,
         d=d,
         q=q,
-        full_matrix=Matrix(data),
-        reduced_matrix=Matrix(reduced),
+        full_matrix=full,
+        reduced_matrix=reduced,
         row_labels=row_labels,
-        col_labels=col_labels,
+        col_labels=subsets_colex(q, r),
     )
 
 
@@ -88,9 +86,8 @@ def row_dependence_holds(f: ForceSystem) -> bool:
     i in the sorted tuple) is the zero row, for any force system.  This is
     what justifies dropping the equations that mention particle q.
     """
-    rows = build_equilibrium_system(f).full_matrix.data
-    relations = detmap._relation_rows(rows, f.r, f.d, f.q, detmap._order_sign)
-    return not any(x for row in relations for x in row)
+    relations = detmap._relation_rows(f.r, f.d, f.q, detmap._order_sign)
+    return not any((relations * build_equilibrium_system(f).full_matrix).sparse)
 
 
 @dataclass(frozen=True)

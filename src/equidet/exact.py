@@ -1,9 +1,10 @@
 """Exact linear algebra over the rationals, eliminated on sparse rows.
 
-Matrices are dense lists of Python ints or :class:`fractions.Fraction`; any
-other nonzero entry (a float, a bool, ...) is rejected with ``ValueError``
-where it enters elimination.  There each row becomes a dict ``{col: int}`` of
-its nonzeros, scaled by the lcm of its denominators: row scaling keeps the
+A :class:`Matrix` stores each row as a dict ``{col: value}`` of its nonzero
+ints or :class:`fractions.Fraction` values; ``data`` is a dense copy made when
+it is read.  Any other nonzero entry (a float, a bool, ...) is rejected with
+``ValueError`` where it enters elimination.  There a row with fractions is
+scaled by the lcm of its denominators to ``{col: int}``: row scaling keeps the
 null space and scales the determinant by a known factor.
 
 One fraction-free (Bareiss) forward pass serves ``det_exact``, ``rank_exact``,
@@ -44,17 +45,22 @@ from .combinat import permutation_sign
 
 
 class Matrix:
-    """Dense exact matrix; ``data`` is a list of row lists."""
+    """Exact matrix; ``sparse[i]`` is row i as a dict of its nonzeros by column."""
 
     def __init__(self, data):
         data = [list(row) for row in data]
-        if data:
-            width = len(data[0])
-            if any(len(row) != width for row in data):
-                raise ValueError("rows must all have the same length")
-        self.data = data
         self.rows = len(data)
         self.cols = len(data[0]) if data else 0
+        if any(len(row) != self.cols for row in data):
+            raise ValueError("rows must all have the same length")
+        self.sparse = [dict(zip(compress(count(), row), filter(None, row))) for row in data]
+
+    @classmethod
+    def _from_sparse(cls, rows, cols: int) -> "Matrix":
+        """Matrix over ``rows``, dicts of nonzeros, taken without a copy."""
+        m = cls.__new__(cls)
+        m.sparse, m.rows, m.cols = rows, len(rows), cols
+        return m
 
     @classmethod
     def identity(cls, n: int) -> "Matrix":
@@ -64,14 +70,15 @@ class Matrix:
     def zeros(cls, rows: int, cols: int) -> "Matrix":
         return cls([[0] * cols for _ in range(rows)])
 
+    @property
+    def data(self):
+        """Dense copy as a list of row lists, zeros filled in."""
+        return [[row.get(j, 0) for j in range(self.cols)] for row in self.sparse]
+
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return (
-            self.rows == other.rows
-            and self.cols == other.cols
-            and all(a == b for ra, rb in zip(self.data, other.data) for a, b in zip(ra, rb))
-        )
+        return (self.rows, self.cols, self.sparse) == (other.rows, other.cols, other.sparse)
 
     def __repr__(self):
         return f"Matrix({self.rows}x{self.cols})"
@@ -81,14 +88,20 @@ class Matrix:
             return NotImplemented
         if self.cols != other.rows:
             raise ValueError(f"shape mismatch: {self.rows}x{self.cols} times {other.rows}x{other.cols}")
-        cols = list(zip(*other.data)) if other.data else []
-        return Matrix([[sum(a * b for a, b in zip(row, col)) for col in cols] for row in self.data])
+        out = []
+        for row in self.sparse:
+            acc = {}
+            for k, a in row.items():
+                for j, b in other.sparse[k].items():
+                    acc[j] = acc.get(j, 0) + a * b
+            out.append({j: x for j, x in acc.items() if x})
+        return Matrix._from_sparse(out, other.cols)
 
     def mul_vec(self, vec):
         """Matrix-vector product as a list of exact scalars."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        return [sum(a * x for a, x in zip(row, vec) if a and x) for row in self.data]
+        return [sum(a * vec[j] for j, a in row.items() if vec[j]) for row in self.sparse]
 
 
 def _check_exact(*values):
@@ -100,15 +113,15 @@ def _check_exact(*values):
 
 def _sparse_rows(m: Matrix):
     """Rows of ``m`` as ``{col: int}`` dicts of nonzeros, and the product of
-    the per-row factors that cleared their denominators.
+    the per-row factors that cleared their denominators.  Integer rows are
+    the matrix's own dicts, which elimination reads but never mutates.
 
     This is where every matrix enters elimination, so it is also where
     entries that are not exact scalars are rejected.
     """
     rows = []
     clearing = 1
-    for row in m.data:
-        entries = dict(zip(compress(count(), row), filter(None, row)))
+    for entries in m.sparse:
         if any(type(x) is not int for x in entries.values()):
             _check_exact(*entries.values())
             den = lcm(*(x.denominator for x in entries.values()))
@@ -119,7 +132,7 @@ def _sparse_rows(m: Matrix):
 
 
 def _eliminate(rows, ncols, fewest_rows_first=False, stop_at_free=False):
-    """Lazy fraction-free forward elimination over sparse rows, in place.
+    """Lazy fraction-free forward elimination over sparse rows, never mutating a row dict.
 
     Returns ``(pivot rows, pivot columns, pivot row indices)`` in elimination
     order; every pivot row is up to date.  Columns are taken left to right,
@@ -158,7 +171,7 @@ def _eliminate(rows, ncols, fewest_rows_first=False, stop_at_free=False):
         rest = [(j, y) for j, y in rk.items() if j != c]
         for i in cand:
             ri = rows[i]
-            f = ri.pop(c)
+            f = ri[c]
             t = stamp[i]
             new = {j: x * pk // t for j, x in ri.items() if j not in rk}
             for j, y in rest:

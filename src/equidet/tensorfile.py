@@ -12,7 +12,8 @@ A file holds one force system or one configuration:
     }
 
 Scalars are strings, either decimal integers or "p/q" with a positive
-denominator, so exact values survive any JSON parser.  Index tuples are
+denominator, so exact values survive any JSON parser.  An integer, a
+numerator or a denominator has at most 4300 digits.  Index tuples are
 strictly increasing, 1-based, of length r; duplicates are rejected and
 missing tuples mean the zero vector.  Serialization is canonical: entries
 in colex order, zero vectors omitted, scalars in lowest terms.
@@ -27,18 +28,21 @@ from fractions import Fraction
 from .tensors import ForceSystem, VectorConfiguration
 
 _SCALAR_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_MAX_DIGITS = 4300  # per integer, numerator or denominator
 
 
 def parse_scalar(text) -> int | Fraction:
     """Exact scalar: an ``int`` from a decimal-integer string, a ``Fraction`` from p/q."""
     if not isinstance(text, str) or not _SCALAR_RE.match(text):
         raise ValueError(f"bad scalar {text!r}: expected an integer or p/q string")
-    if "/" in text:
-        num, den = text.split("/")
-        if int(den) == 0:
-            raise ValueError(f"bad scalar {text!r}: zero denominator")
-        return Fraction(int(num), int(den))
-    return int(text)
+    num, _, den = text.partition("/")
+    if max(len(num.lstrip("-")), len(den)) > _MAX_DIGITS:
+        raise ValueError(f"scalar of {len(text)} characters exceeds the {_MAX_DIGITS}-digit limit")
+    if not den:
+        return int(num)
+    if int(den) == 0:
+        raise ValueError(f"bad scalar {text!r}: zero denominator")
+    return Fraction(int(num), int(den))
 
 
 def format_scalar(x) -> str:

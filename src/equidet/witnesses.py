@@ -12,9 +12,8 @@ import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb
-
 from itertools import combinations
+from math import comb
 
 from .combinat import subsets_colex
 from .detmap import det_sr

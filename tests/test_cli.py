@@ -118,6 +118,52 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     assert "error:" in capsys.readouterr().err
 
 
+def test_values_over_4300_digits_print(tmp_path, capsys):
+    # 1000-digit entries give a determinant of about 6000 digits, past the
+    # interpreter's default limit for str() of an int
+    import random
+
+    from equidet import det_sr
+
+    rng = random.Random(44)
+    canonical = {
+        (a, b): tuple(rng.randint(-(10**1000), 10**1000) for _ in range(2))
+        for a in range(1, 5)
+        for b in range(a + 1, 5)
+    }
+    path = tmp_path / "wide.json"
+    dump_tensor(ForceSystem(2, 2, 4, canonical), path)
+    expected = det_sr(load_tensor(path).to_configuration())
+    assert abs(expected.numerator) > 10**4300
+    assert main(["det", "--input", str(path)]) == 0
+    assert capsys.readouterr().out.splitlines()[0] == str(expected)
+    assert main(["solve", "--input", str(path)]) == 0
+    assert f"det = {expected}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("scalar", ["1" * 5000, "1/" + "1" * 5000])
+def test_det_rejects_scalars_over_the_digit_limit(tmp_path, capsys, scalar):
+    assert main(["det", "--input", write_min_config(tmp_path, value=scalar)]) == 2
+    assert "4300-digit limit" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-relations", "--r", "0"],
+        ["verify-relations", "--d", "0"],
+        ["verify-relations", "--trials", "0"],
+        ["selfcheck", "--trials", "0"],
+        ["selfcheck", "--trials", "-3"],
+    ],
+)
+def test_invariant_suite_rejects_bad_arguments(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "PASS" not in captured.out
+
+
 def test_solve_exits_1_when_the_kernel_vector_fails_its_certificate(tmp_path, monkeypatch, capsys):
     import random
 

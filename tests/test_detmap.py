@@ -7,12 +7,16 @@ import pytest
 
 from equidet import (
     CoefficientSystem,
+    ForceSystem,
     Matrix,
     VectorConfiguration,
+    build_equilibrium_system,
     build_system_matrix,
     check_dependence_relations,
     det_exact,
     det_sr,
+    insert_position,
+    kernel_basis,
     random_coefficients,
     random_configuration,
     random_force_system,
@@ -250,3 +254,63 @@ def test_relation_mismatched_arity_rejected():
     lam = CoefficientSystem(3, 6)
     with pytest.raises(ValueError):
         check_dependence_relations(cfg, lam)
+
+
+def test_term_sign_matches_insert_position():
+    for q in range(1, 8):
+        for size in range(q):
+            for m in combinations(range(1, q + 1), size):
+                for i in range(1, q + 1):
+                    if i not in m:
+                        assert term_sign(m, i) == (-1) ** (i + insert_position(m, i))
+
+
+def _round_trip_entries(kind, values, rng):
+    """Integer entries, the same over random denominators, or a sparse subset
+    with one coordinate zeroed in each kept vector."""
+    if kind == "int":
+        return values
+    if kind == "fraction":
+        return {k: tuple(Fraction(x, rng.randint(1, 4)) for x in v) for k, v in values.items()}
+    kept = rng.sample(sorted(values), len(values) // 3)
+    return {k: tuple(0 if c == k[0] % 2 else x for c, x in enumerate(values[k])) for k in kept}
+
+
+@pytest.mark.parametrize("entries", ["int", "fraction", "sparse"])
+@pytest.mark.parametrize("form", ["configuration", "forces"])
+def test_built_systems_survive_the_dense_round_trip(form, entries):
+    rng = random.Random(f"{form}-{entries}")
+    if form == "configuration":
+        cfg = random_configuration(3, 2, 5, rng)
+        cfg = VectorConfiguration(3, 2, 6, _round_trip_entries(entries, cfg.entries, rng))
+        matrices = [build_system_matrix(cfg).matrix]
+    else:
+        f = random_force_system(3, 2, 6, 5, rng)
+        f = ForceSystem(3, 2, 6, _round_trip_entries(entries, f.canonical, rng))
+        system = build_equilibrium_system(f)
+        matrices = [system.full_matrix, system.reduced_matrix]
+    for m in matrices:
+        dense = Matrix(m.data)
+        assert dense == m
+        assert all(all(row.values()) for row in m.sparse)  # nonzeros only
+        vec = [rng.randint(-5, 5) for _ in range(m.cols)]
+        assert dense.mul_vec(vec) == m.mul_vec(vec)
+        assert kernel_basis(dense) == kernel_basis(m)
+        if m.rows == m.cols:
+            assert det_exact(dense) == det_exact(m)
+        assert dense == m  # elimination reads the rows without changing them
+
+
+def test_r4_d4_system_stores_exactly_the_accessor_nonzeros():
+    v = random_configuration(4, 4, 5, random.Random(62))
+    m = build_system_matrix(v).matrix
+    assert (m.rows, m.cols) == (1820, 1820)
+    expected = sum(
+        1
+        for eq in subsets_colex(15, 3)
+        for i in range(1, 17)
+        if i not in eq
+        for x in v.get(tuple(sorted(eq + (i,))))
+        if x
+    )
+    assert sum(map(len, m.sparse)) == expected

@@ -44,6 +44,17 @@ def test_parse_scalar_rejects_non_exact_forms(bad):
         parse_scalar(bad)
 
 
+@pytest.mark.parametrize("text", ["1" * 5000, "1/" + "1" * 5000, "-" + "9" * 4301])
+def test_parse_scalar_rejects_more_than_4300_digits(text):
+    with pytest.raises(ValueError, match="4300-digit limit"):
+        parse_scalar(text)
+
+
+def test_parse_scalar_accepts_4300_digits():
+    assert parse_scalar("-" + "9" * 4300) == -(10**4300 - 1)
+    assert parse_scalar("1/" + "1" * 4300) == Fraction(1, int("1" * 4300))
+
+
 @given(st.fractions())
 def test_scalar_roundtrip(x):
     assert parse_scalar(format_scalar(x)) == x
