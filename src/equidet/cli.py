@@ -8,8 +8,9 @@ Subcommands:
     verify-relations check the redundancy identities on random inputs
     selfcheck        fast invariant suite over the whole pipeline
 
-Exit codes: 0 success, 1 check failure, 2 input error (OSError or ValueError),
-3 precondition violation (determinant requested with q != r*d).
+Exit codes: 0 success, 1 check failure, 2 input error (OSError, ValueError, or
+OverflowError from a shape too large to enumerate), 3 precondition violation
+(determinant requested with q != r*d).
 """
 
 from __future__ import annotations
@@ -68,6 +69,8 @@ def cmd_solve(args) -> int:
         raise ValueError("solve needs a tensor file with kind='forces'")
     try:
         lam = solve_nontrivial(obj)
+    except OverflowError:  # a shape too large to enumerate: an input error
+        raise
     except ArithmeticError:
         print("internal error: solver returned a nonzero-residual candidate", file=sys.stderr)
         return 1
@@ -286,7 +289,7 @@ def main(argv=None) -> int:
         sys.set_int_max_str_digits(0)
     try:
         return args.func(args)
-    except (OSError, ValueError) as exc:  # bad input or arguments
+    except (OSError, ValueError, OverflowError) as exc:  # bad input or arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

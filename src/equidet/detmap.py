@@ -13,6 +13,10 @@ vector.
 Configurations and force systems share one equation builder and one relation
 combination; each convention uses one sign function at both levels
 (:func:`term_sign` for configurations, :func:`_order_sign` for forces).
+Where each nonzero goes, and its sign, depend only on the shape (r, d, q), the
+equation range and the sign function, never on the values: that layout is
+computed once per shape and sign function and cached, as is the whole ±1
+relation matrix, and a build scatters the stored values through it.
 """
 
 from __future__ import annotations
@@ -20,6 +24,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .combinat import subsets_colex
 from .exact import Matrix, det_exact
@@ -47,36 +52,58 @@ def _order_sign(equation_tuple, i: int) -> int:
     return -1 if (len(equation_tuple) - bisect_right(equation_tuple, i)) & 1 else 1
 
 
-def _incidence_rows(values, r: int, d: int, q: int, eq_tuples, sign) -> Matrix:
-    """d sparse rows per equation tuple M over the r-tuples of {1..q} in colex
-    order; column sorted(M + {i}) holds sign(M, i) * values[sorted(M + {i})],
-    where ``values`` maps sorted r-tuples to d-vectors."""
-    col_index = {t: j for j, t in enumerate(subsets_colex(q, r))}
-    rows = []
-    for m in eq_tuples:
-        block = [{} for _ in range(d)]
-        for i in range(1, q + 1):
-            if i in m:
-                continue
-            key = tuple(sorted(m + (i,)))
-            vec = values.get(key)
-            if vec is None:
-                continue
-            j = col_index[key]
-            negate = sign(m, i) < 0
-            for row, x in zip(block, vec):
+@lru_cache(maxsize=None)
+def _incidence_pattern(r: int, d: int, q: int, eq_q: int, sign):
+    """Value-independent layout of the system whose equations are the
+    (r-1)-subsets M of {1..eq_q} in colex order, d rows each, over the r-tuples
+    of {1..q} in colex order.
+
+    Maps every sorted r-tuple T to ``(column of T, ((first row of block M,
+    negate), ...))``, one pair per equation M = T - {i} in range, where
+    ``negate`` is ``sign(M, i) < 0``; also returns the row and column counts.
+    The key includes the sign function, so a replaced one gets its own
+    pattern.  Shared by every caller: read it, never write it.
+    """
+    block_row = {m: b * d for b, m in enumerate(subsets_colex(eq_q, r - 1))}
+    pattern = {}
+    for j, t in enumerate(subsets_colex(q, r)):
+        slots = []
+        for p, i in enumerate(t):
+            m = t[:p] + t[p + 1 :]
+            base = block_row.get(m)
+            if base is not None:
+                slots.append((base, sign(m, i) < 0))
+        pattern[t] = (j, tuple(slots))
+    return pattern, d * len(block_row), len(pattern)
+
+
+def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> Matrix:
+    """d sparse rows per equation M, an (r-1)-subset of {1..eq_q} in colex
+    order, over the r-tuples of {1..q} in colex order; column sorted(M + {i})
+    holds sign(M, i) * values[sorted(M + {i})], where ``values`` maps sorted
+    r-tuples to d-vectors.  Only the stored slots are visited; their rows,
+    columns and signs come from the cached :func:`_incidence_pattern`."""
+    pattern, n_rows, n_cols = _incidence_pattern(r, d, q, eq_q, sign)
+    rows = [{} for _ in range(n_rows)]
+    for key, vec in values.items():
+        j, slots = pattern[key]
+        for base, negate in slots:
+            for row, x in enumerate(vec, base):
                 if x:
-                    row[j] = -x if negate else x
-        rows.extend(block)
-    return Matrix._from_sparse(rows, len(col_index))
+                    rows[row][j] = -x if negate else x
+    return Matrix._from_sparse(rows, n_cols)
 
 
+@lru_cache(maxsize=None)
 def _relation_rows(r: int, d: int, q: int, sign) -> Matrix:
     """Row combinations of a full system (d rows per (r-1)-subset of {1..q} in
     colex order): for every (r-2)-subset N, the d rows sum over i of sign(N, i)
     * rows(sorted(N + {i})).  Each tuple N + {i, j} is reached once through i
     and once through j, and the two terms cancel when the rows were built with
     the same sign function, so this matrix times a full system is zero.
+
+    Cached per shape and sign function and shared by every caller: read it,
+    never write it.
     """
     block_index = {m: b for b, m in enumerate(subsets_colex(q, r - 1))}
     rows = []
@@ -95,9 +122,8 @@ def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     r, d, q = v.r, v.d, v.q
     if q != r * d:
         raise ValueError(f"square system needs q = r*d, got q={q} with r={r}, d={d}")
-    eq_tuples = subsets_colex(q - 1, r - 1)
-    row_labels = tuple((m, coord) for m in eq_tuples for coord in range(1, d + 1))
-    matrix = _incidence_rows(v.entries, r, d, q, eq_tuples, term_sign)
+    row_labels = tuple((m, coord) for m in subsets_colex(q - 1, r - 1) for coord in range(1, d + 1))
+    matrix = _incidence_rows(v.entries, r, d, q, q - 1, term_sign)
     return SystemMatrix(matrix, row_labels, subsets_colex(q, r))
 
 
@@ -122,6 +148,6 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
         values, sign = v.canonical, _order_sign
     else:
         values, sign = v.entries, term_sign
-    system = _incidence_rows(values, v.r, v.d, v.q, subsets_colex(v.q, v.r - 1), sign)
+    system = _incidence_rows(values, v.r, v.d, v.q, v.q, sign)
     at_lam = system.mul_vec([lam.canonical.get(t, 0) for t in subsets_colex(v.q, v.r)])
     return not any(_relation_rows(v.r, v.d, v.q, sign).mul_vec(at_lam))

@@ -38,7 +38,7 @@ def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
     r, d, q = f.r, f.d, f.q
     eq_tuples = subsets_colex(q, r - 1)
     row_labels = tuple((m, coord) for m in eq_tuples for coord in range(1, d + 1))
-    full = detmap._incidence_rows(f.canonical, r, d, q, eq_tuples, detmap._order_sign)
+    full = detmap._incidence_rows(f.canonical, r, d, q, q, detmap._order_sign)
     # colex order lists the tuples avoiding q first
     reduced = Matrix._from_sparse(full.sparse[: d * comb(q - 1, r - 1)], full.cols)
     return EquilibriumSystem(

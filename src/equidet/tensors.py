@@ -9,6 +9,7 @@ construction.
 
 from __future__ import annotations
 
+from copy import copy
 from fractions import Fraction
 
 from .combinat import check_sorted_tuple, permutation_sign
@@ -59,10 +60,20 @@ class VectorConfiguration:
         return self.entries.get(key, (Fraction(0),) * self.d)
 
     def with_slot(self, key, vec):
-        """Copy of this configuration with one slot replaced."""
-        new = dict(self.entries)
-        new[tuple(key)] = tuple(vec)
-        return VectorConfiguration(self.r, self.d, self.q, new)
+        """Copy of this configuration with one slot replaced.
+
+        The other entries were validated at construction and are not
+        rechecked; a zero vector removes the slot."""
+        key = tuple(key)
+        slot = _vector_entries(self.r, self.d, self.q, {key: vec})
+        entries = dict(self.entries)
+        if slot:
+            entries[key] = slot[key]
+        else:
+            entries.pop(key, None)
+        new = copy(self)
+        new.entries = entries
+        return new
 
     def __eq__(self, other):
         if not isinstance(other, VectorConfiguration):

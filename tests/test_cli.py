@@ -118,6 +118,23 @@ def test_deeply_nested_json_exits_2(tmp_path, capsys, command):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["det", "solve"])
+def test_shape_too_large_to_enumerate_exits_2(tmp_path, capsys, command):
+    # q = r*d passes the square check, but C(q, r - 1) subsets overflow a C size
+    huge = 10**21
+    path = tmp_path / "huge.json"
+    path.write_text(
+        json.dumps({"r": huge, "d": 1, "q": huge, "kind": "forces", "entries": []}),
+        encoding="utf-8",
+    )
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert "Traceback" not in captured.err
+    assert "internal error" not in captured.err
+    assert captured.out == ""
+
+
 def test_values_over_4300_digits_print(tmp_path, capsys):
     # 1000-digit entries give a determinant of about 6000 digits, past the
     # interpreter's default limit for str() of an int

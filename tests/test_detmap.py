@@ -23,7 +23,7 @@ from equidet import (
     row_dependence_holds,
     subsets_colex,
 )
-from equidet.detmap import term_sign
+from equidet.detmap import _incidence_rows, _order_sign, _relation_rows, term_sign
 
 # Independent cofactor oracle computed before the builder existed: the
 # basis-pattern configuration below has determinant -1.
@@ -43,6 +43,23 @@ def det_cofactor(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def reference_rows(get, r, d, q, eq_q, sign):
+    """Dense system, uncached: d rows per (r-1)-subset M of {1..eq_q}; the cell
+    of row (M, coord) in column sorted(M + {i}) is sign(M, i) * get(sorted(M + {i}))[coord]."""
+    col = {t: j for j, t in enumerate(subsets_colex(q, r))}
+    expected = []
+    for m in subsets_colex(eq_q, r - 1):
+        block = [[0] * len(col) for _ in range(d)]
+        for i in range(1, q + 1):
+            if i in m:
+                continue
+            key = tuple(sorted(m + (i,)))
+            for coord in range(d):
+                block[coord][col[key]] = sign(m, i) * get(key)[coord]
+        expected.extend(block)
+    return expected
 
 
 def test_one_by_one_system():
@@ -96,19 +113,7 @@ def test_system_matrix_holds_accessor_values(r, d, kind):
             for t in combinations(range(1, q + 1), r)
             if rng.random() < 0.3
         })
-    system = build_system_matrix(v)
-    col = {t: j for j, t in enumerate(system.col_labels)}
-    expected = []
-    for m in subsets_colex(q - 1, r - 1):
-        block = [[0] * len(col) for _ in range(d)]
-        for i in range(1, q + 1):
-            if i in m:
-                continue
-            key = tuple(sorted(m + (i,)))
-            for coord in range(d):
-                block[coord][col[key]] = term_sign(m, i) * v.get(key)[coord]
-        expected.extend(block)
-    assert system.matrix.data == expected
+    assert build_system_matrix(v).matrix.data == reference_rows(v.get, r, d, q, q - 1, term_sign)
 
 
 def test_pair_row_block_sign_pattern():
@@ -314,3 +319,74 @@ def test_r4_d4_system_stores_exactly_the_accessor_nonzeros():
         if x
     )
     assert sum(map(len, m.sparse)) == expected
+
+
+@pytest.mark.parametrize("entries", ["int", "fraction", "sparse"])
+@pytest.mark.parametrize("form", ["configuration", "forces"])
+def test_cached_builder_matches_uncached_reference_on_every_small_shape(form, entries):
+    rng = random.Random(f"shapes-{form}-{entries}")
+    for r in range(1, 5):
+        for d in range(1, 4):
+            for q in range(r, min(r * d + 2, 8) + 1):
+                ints = {t: tuple(rng.randint(-5, 5) for _ in range(d)) for t in subsets_colex(q, r)}
+                values = _round_trip_entries(entries, ints, rng)
+                if form == "configuration":
+                    x, sign = VectorConfiguration(r, d, q, values), term_sign
+                    stored = x.entries
+                else:
+                    x, sign = ForceSystem(r, d, q, values), _order_sign
+                    stored = x.canonical
+                for eq_q in (q - 1, q):
+                    m = _incidence_rows(stored, r, d, q, eq_q, sign)
+                    assert (m.rows, m.cols) == (d * comb(eq_q, r - 1), comb(q, r))
+                    assert all(all(row.values()) for row in m.sparse)  # nonzeros only
+                    assert m.data == reference_rows(x.get, r, d, q, eq_q, sign), (r, d, q, eq_q)
+
+
+@pytest.mark.parametrize("form", ["configuration", "forces"])
+def test_cached_layout_is_never_shared_or_stale(monkeypatch, form):
+    import equidet.detmap as detmap
+
+    rng = random.Random(f"isolation-{form}")
+    r, d, q = 3, 2, 6
+    if form == "configuration":
+        x = random_configuration(r, d, 5, rng)
+        values, sign_name = x.entries, "term_sign"
+    else:
+        x = random_force_system(r, d, q, 5, rng)
+        values, sign_name = x.canonical, "_order_sign"
+    sign = getattr(detmap, sign_name)
+
+    # square (q - 1) and full (q) equation ranges: fresh rows on every build
+    for eq_q in (q - 1, q):
+        expected = reference_rows(x.get, r, d, q, eq_q, sign)
+        first = _incidence_rows(values, r, d, q, eq_q, sign)
+        second = _incidence_rows(values, r, d, q, eq_q, sign)
+        assert {id(row) for row in first.sparse}.isdisjoint(id(row) for row in second.sparse)
+        first.sparse[0][0] = 99
+        first.sparse[-1].clear()
+        assert second.data == expected
+        assert _incidence_rows(values, r, d, q, eq_q, sign).data == expected
+
+    # the shared relation matrix is read, never written
+    relations = _relation_rows(r, d, q, sign)
+    snapshot = [dict(row) for row in relations.sparse]
+    assert check_dependence_relations(x, random_coefficients(r, q, 5, rng))
+    if form == "forces":
+        assert row_dependence_holds(x)
+    assert _relation_rows(r, d, q, sign) is relations
+    assert relations.sparse == snapshot
+
+    # a patched sign function is a new cache key, and unpatching restores the original
+    def build(obj):
+        if form == "configuration":
+            return build_system_matrix(obj).matrix.data
+        return build_equilibrium_system(obj).full_matrix.data
+
+    eq_q = q - 1 if form == "configuration" else q
+    original = reference_rows(x.get, r, d, q, eq_q, sign)
+    flat = lambda equation_tuple, i: 1  # noqa: E731
+    monkeypatch.setattr(detmap, sign_name, flat)
+    assert build(x) == reference_rows(x.get, r, d, q, eq_q, flat) != original
+    monkeypatch.undo()
+    assert build(x) == original

@@ -161,6 +161,51 @@ def test_configuration_with_slot_is_a_copy():
     assert w.get((1, 2)) == (9, 9)
 
 
+def test_with_slot_matches_full_reconstruction():
+    rng = random.Random(91)
+    for _ in range(200):
+        r = rng.randint(1, 3)
+        d = rng.randint(1, 3)
+        q = rng.randint(r, r + 3)
+        slots = subsets_colex(q, r)
+        v = VectorConfiguration(r, d, q, {
+            t: tuple(rng.randint(-2, 2) for _ in range(d)) for t in slots if rng.random() < 0.6
+        })
+        key = rng.choice(slots)
+        vec = rng.choice((
+            (0,) * d,
+            tuple(rng.randint(-3, 3) for _ in range(d)),
+            tuple(Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(d)),
+        ))
+        before = dict(v.entries)
+        w = v.with_slot(key, vec)
+        expected = VectorConfiguration(r, d, q, {**v.entries, key: vec})
+        assert w == expected
+        assert list(w.entries) == list(expected.entries)  # same slot order
+        assert v.entries == before
+        if not any(vec):
+            assert key not in w.entries
+
+
+@pytest.mark.parametrize(
+    "key,vec",
+    [
+        ((2, 1), (1, 1)),  # unsorted
+        ((1, 5), (1, 1)),  # out of range
+        ((0, 1), (1, 1)),
+        ((1, 2, 3), (1, 1)),  # arity
+        ((1, 2), (1, 1, 1)),  # length
+        ((1, 2), (1.5, 1)),  # not exact
+    ],
+)
+def test_with_slot_rejects_what_construction_rejects(key, vec):
+    v = VectorConfiguration(2, 2, 4, {(1, 3): (1, 0)})
+    with pytest.raises(ValueError):
+        VectorConfiguration(2, 2, 4, {**v.entries, key: vec})
+    with pytest.raises(ValueError):
+        v.with_slot(key, vec)
+
+
 def test_zero_vectors_are_not_stored():
     v = VectorConfiguration(2, 2, 4, {(1, 2): (0, 0), (1, 3): (1, 0)})
     assert set(v.entries) == {(1, 3)}
