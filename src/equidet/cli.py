@@ -8,9 +8,11 @@ Subcommands:
     verify-relations check the redundancy identities on random inputs
     selfcheck        fast invariant suite over the whole pipeline
 
-Exit codes: 0 success, 1 check failure, 2 input error (OSError, ValueError, or
-OverflowError from a shape too large to enumerate), 3 precondition violation
-(determinant requested with q != r*d).
+Exit codes: 0 success, 1 check failure (a failed invariant or criterion, or
+an exact result that fails its own check, reported by any command as
+"internal error: ..."), 2 input error (OSError, ValueError, or OverflowError
+from a shape too large to enumerate), 3 precondition violation (determinant
+requested with q != r*d).
 """
 
 from __future__ import annotations
@@ -67,13 +69,7 @@ def cmd_solve(args) -> int:
     obj = load_tensor(args.input)
     if not isinstance(obj, ForceSystem):
         raise ValueError("solve needs a tensor file with kind='forces'")
-    try:
-        lam = solve_nontrivial(obj)
-    except OverflowError:  # a shape too large to enumerate: an input error
-        raise
-    except ArithmeticError:
-        print("internal error: solver returned a nonzero-residual candidate", file=sys.stderr)
-        return 1
+    lam = solve_nontrivial(obj)
     if lam is None:
         print("UNSOLVABLE")
     else:
@@ -175,20 +171,9 @@ def _consistency(rng, r, d) -> bool:
     return report.consistent and report.reduced_matches_full
 
 
-_PROPERTIES = {
-    "vanishing": _vanishing,
-    "relations": _relations,
-    "multilinearity": _multilinearity,
-    "scaling": _scaling,
-    "consistency": _consistency,
-}
-
-
-def run_property(kind: str, r: int, d: int, seed: int, trials: int) -> bool:
-    """One named invariant, checked on ``trials`` seeded random inputs."""
-    check = _PROPERTIES.get(kind)
-    if check is None:
-        raise ValueError(f"unknown property kind {kind!r}")
+def run_property(check, r: int, d: int, seed: int, trials: int) -> bool:
+    """One invariant predicate ``check(rng, r, d)``, checked on ``trials``
+    seeded random inputs."""
     if min(r, d, trials) < 1:
         raise ValueError(f"need r >= 1, d >= 1 and trials >= 1, got r={r}, d={d}, trials={trials}")
     rng = random.Random(seed)
@@ -196,20 +181,20 @@ def run_property(kind: str, r: int, d: int, seed: int, trials: int) -> bool:
 
 
 _SELFCHECK = (
-    ("vanishing (r=2, d=2)", "vanishing", 2, 2),
-    ("vanishing (r=3, d=2)", "vanishing", 3, 2),
-    ("dependence relations (r=2, d=2)", "relations", 2, 2),
-    ("dependence relations (r=3, d=2)", "relations", 3, 2),
-    ("multilinearity (r=2, d=2)", "multilinearity", 2, 2),
-    ("slot scaling (r=2, d=2)", "scaling", 2, 2),
-    ("theorem consistency (r=2, d=2)", "consistency", 2, 2),
-    ("theorem consistency (r=3, d=2)", "consistency", 3, 2),
+    ("vanishing (r=2, d=2)", _vanishing, 2, 2),
+    ("vanishing (r=3, d=2)", _vanishing, 3, 2),
+    ("dependence relations (r=2, d=2)", _relations, 2, 2),
+    ("dependence relations (r=3, d=2)", _relations, 3, 2),
+    ("multilinearity (r=2, d=2)", _multilinearity, 2, 2),
+    ("slot scaling (r=2, d=2)", _scaling, 2, 2),
+    ("theorem consistency (r=2, d=2)", _consistency, 2, 2),
+    ("theorem consistency (r=3, d=2)", _consistency, 3, 2),
 )
 
 
 def cmd_selfcheck(args) -> int:
-    jobs = [(kind, r, d, args.seed + index, args.trials)
-            for index, (_, kind, r, d) in enumerate(_SELFCHECK)]
+    jobs = [(check, r, d, args.seed + index, args.trials)
+            for index, (_, check, r, d) in enumerate(_SELFCHECK)]
     if args.parallel:
         with ProcessPoolExecutor() as pool:
             outcomes = list(pool.map(run_property, *zip(*jobs)))
@@ -226,7 +211,7 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_verify_relations(args) -> int:
-    ok = run_property("relations", args.r, args.d, args.seed, args.trials)
+    ok = run_property(_relations, args.r, args.d, args.seed, args.trials)
     name = f"tuple-equation relations (r={args.r}, d={args.d})"
     print(f"{'PASS' if ok else 'FAIL'} {name}: {args.trials} trials")
     return 0 if ok else 1
@@ -292,6 +277,9 @@ def main(argv=None) -> int:
     except (OSError, ValueError, OverflowError) as exc:  # bad input or arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except ArithmeticError as exc:  # an exact result failed its own check
+        print(f"internal error: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

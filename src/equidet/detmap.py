@@ -60,13 +60,16 @@ def _incidence_pattern(r: int, d: int, q: int, eq_q: int, sign):
 
     Maps every sorted r-tuple T to ``(column of T, ((first row of block M,
     negate), ...))``, one pair per equation M = T - {i} in range, where
-    ``negate`` is ``sign(M, i) < 0``; also returns the row and column counts.
-    The key includes the sign function, so a replaced one gets its own
-    pattern.  Shared by every caller: read it, never write it.
+    ``negate`` is ``sign(M, i) < 0``; also returns the row labels ((M,
+    coordinate), ...) and the column labels (the r-tuples).  The key includes
+    the sign function, so a replaced one gets its own pattern.  Shared by
+    every caller: read it, never write it.
     """
-    block_row = {m: b * d for b, m in enumerate(subsets_colex(eq_q, r - 1))}
+    equations = subsets_colex(eq_q, r - 1)
+    col_labels = subsets_colex(q, r)
+    block_row = {m: b * d for b, m in enumerate(equations)}
     pattern = {}
-    for j, t in enumerate(subsets_colex(q, r)):
+    for j, t in enumerate(col_labels):
         slots = []
         for p, i in enumerate(t):
             m = t[:p] + t[p + 1 :]
@@ -74,7 +77,8 @@ def _incidence_pattern(r: int, d: int, q: int, eq_q: int, sign):
             if base is not None:
                 slots.append((base, sign(m, i) < 0))
         pattern[t] = (j, tuple(slots))
-    return pattern, d * len(block_row), len(pattern)
+    row_labels = tuple((m, coord) for m in equations for coord in range(1, d + 1))
+    return pattern, row_labels, col_labels
 
 
 def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> Matrix:
@@ -83,15 +87,15 @@ def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> Matrix:
     holds sign(M, i) * values[sorted(M + {i})], where ``values`` maps sorted
     r-tuples to d-vectors.  Only the stored slots are visited; their rows,
     columns and signs come from the cached :func:`_incidence_pattern`."""
-    pattern, n_rows, n_cols = _incidence_pattern(r, d, q, eq_q, sign)
-    rows = [{} for _ in range(n_rows)]
+    pattern, row_labels, col_labels = _incidence_pattern(r, d, q, eq_q, sign)
+    rows = [{} for _ in row_labels]
     for key, vec in values.items():
         j, slots = pattern[key]
         for base, negate in slots:
             for row, x in enumerate(vec, base):
                 if x:
                     rows[row][j] = -x if negate else x
-    return Matrix._from_sparse(rows, n_cols)
+    return Matrix._from_sparse(rows, len(col_labels))
 
 
 @lru_cache(maxsize=None)
@@ -122,9 +126,9 @@ def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     r, d, q = v.r, v.d, v.q
     if q != r * d:
         raise ValueError(f"square system needs q = r*d, got q={q} with r={r}, d={d}")
-    row_labels = tuple((m, coord) for m in subsets_colex(q - 1, r - 1) for coord in range(1, d + 1))
+    _, row_labels, col_labels = _incidence_pattern(r, d, q, q - 1, term_sign)
     matrix = _incidence_rows(v.entries, r, d, q, q - 1, term_sign)
-    return SystemMatrix(matrix, row_labels, subsets_colex(q, r))
+    return SystemMatrix(matrix, row_labels, col_labels)
 
 
 def det_sr(v: VectorConfiguration) -> Fraction:
@@ -149,5 +153,6 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
     else:
         values, sign = v.entries, term_sign
     system = _incidence_rows(values, v.r, v.d, v.q, v.q, sign)
-    at_lam = system.mul_vec([lam.canonical.get(t, 0) for t in subsets_colex(v.q, v.r)])
+    col_labels = _incidence_pattern(v.r, v.d, v.q, v.q, sign)[2]
+    at_lam = system.mul_vec([lam.canonical.get(t, 0) for t in col_labels])
     return not any(_relation_rows(v.r, v.d, v.q, sign).mul_vec(at_lam))

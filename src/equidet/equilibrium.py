@@ -17,7 +17,6 @@ from fractions import Fraction
 from math import comb
 
 from . import detmap
-from .combinat import subsets_colex
 from .exact import Matrix, kernel_basis, kernel_vector
 from .tensors import CoefficientSystem, ForceSystem
 
@@ -36,8 +35,7 @@ class EquilibriumSystem:
 def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
     """All per-tuple force-balance equations for ``f``, full and reduced."""
     r, d, q = f.r, f.d, f.q
-    eq_tuples = subsets_colex(q, r - 1)
-    row_labels = tuple((m, coord) for m in eq_tuples for coord in range(1, d + 1))
+    _, row_labels, col_labels = detmap._incidence_pattern(r, d, q, q, detmap._order_sign)
     full = detmap._incidence_rows(f.canonical, r, d, q, q, detmap._order_sign)
     # colex order lists the tuples avoiding q first
     reduced = Matrix._from_sparse(full.sparse[: d * comb(q - 1, r - 1)], full.cols)
@@ -48,7 +46,7 @@ def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
         full_matrix=full,
         reduced_matrix=reduced,
         row_labels=row_labels,
-        col_labels=subsets_colex(q, r),
+        col_labels=col_labels,
     )
 
 

@@ -12,8 +12,9 @@ A file holds one force system or one configuration:
     }
 
 Scalars are strings, either decimal integers or "p/q" with a positive
-denominator, so exact values survive any JSON parser.  An integer, a
-numerator or a denominator has at most 4300 digits.  Index tuples are
+denominator, written in ASCII digits, so exact values survive any JSON
+parser.  An integer, a numerator or a denominator has at most 4300 digits,
+and so has every JSON integer (r, d, q and the indices).  Index tuples are
 strictly increasing, 1-based, of length r; duplicates are rejected and
 missing tuples mean the zero vector.  Serialization is canonical: entries
 in colex order, zero vectors omitted, scalars in lowest terms.
@@ -27,7 +28,7 @@ from fractions import Fraction
 
 from .tensors import ForceSystem, VectorConfiguration
 
-_SCALAR_RE = re.compile(r"-?\d+(/\d+)?\Z")
+_SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # per integer, numerator or denominator
 
 
@@ -43,6 +44,13 @@ def parse_scalar(text) -> int | Fraction:
     if int(den) == 0:
         raise ValueError(f"bad scalar {text!r}: zero denominator")
     return Fraction(int(num), int(den))
+
+
+def _json_int(text: str) -> int:
+    """A JSON integer, held to the same digit limit as a scalar."""
+    if len(text.lstrip("-")) > _MAX_DIGITS:
+        raise ValueError(f"integer of {len(text)} characters exceeds the {_MAX_DIGITS}-digit limit")
+    return int(text)
 
 
 def format_scalar(x) -> str:
@@ -113,7 +121,7 @@ def tensor_to_json(obj) -> dict:
 def load_tensor(path):
     with open(path, encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            doc = json.load(fh, parse_int=_json_int)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return tensor_from_json(doc)

@@ -144,10 +144,9 @@ def sl_transform(v: VectorConfiguration, g: Matrix) -> VectorConfiguration:
     return VectorConfiguration(v.r, v.d, v.q, entries)
 
 
-def random_configuration(r: int, d: int, bound: int, rng, q=None) -> VectorConfiguration:
-    """Configuration with every slot an integer vector uniform in [-bound, bound]."""
-    if q is None:
-        q = r * d
+def random_configuration(r: int, d: int, bound: int, rng) -> VectorConfiguration:
+    """Configuration on r*d particles, every slot an integer vector uniform in [-bound, bound]."""
+    q = r * d
     entries = {
         key: tuple(rng.randint(-bound, bound) for _ in range(d))
         for key in subsets_colex(q, r)

@@ -201,6 +201,45 @@ def test_solve_exits_1_when_the_kernel_vector_fails_its_certificate(tmp_path, mo
     assert "SOLVABLE" not in captured.out
 
 
+def test_det_exits_1_when_the_determinant_fails_its_check(tmp_path, monkeypatch, capsys):
+    import equidet.cli as cli
+
+    def failing_det(matrix):
+        raise ArithmeticError("determinant failed its check")
+
+    monkeypatch.setattr(cli, "det_exact", failing_det)
+    assert main(["det", "--input", write_min_config(tmp_path)]) == 1
+    captured = capsys.readouterr()
+    assert "internal error: determinant failed its check" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == ""
+
+
+def test_det_rejects_json_integers_over_the_digit_limit(tmp_path, capsys):
+    # main lifts the interpreter's int/str limit for printing; the file's own
+    # JSON integers must still obey the format's limit afterwards
+    assert main(["det", "--input", write_min_config(tmp_path)]) == 0
+    capsys.readouterr()
+    path = tmp_path / "long_r.json"
+    path.write_text(
+        '{"r": ' + "1" * 5000 + ', "d": 1, "q": 2, "kind": "configuration", "entries": []}',
+        encoding="utf-8",
+    )
+    assert main(["det", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "4300-digit limit" in captured.err
+    assert len(captured.err) < 200
+    assert captured.out == ""
+
+
+@pytest.mark.parametrize("value", ["\u0663", "\uff11", "1/\u0662"])
+def test_det_rejects_non_ascii_digits(tmp_path, capsys, value):
+    assert main(["det", "--input", write_min_config(tmp_path, value=value)]) == 2
+    captured = capsys.readouterr()
+    assert "bad scalar" in captured.err
+    assert captured.out == ""
+
+
 def _random_tensor(kind, seed):
     import random
 

@@ -38,7 +38,10 @@ def test_integer_strings_load_as_int_and_ratios_as_fraction():
     assert [type(x) for x in f.canonical[(1, 2)]] == [int, Fraction]
 
 
-@pytest.mark.parametrize("bad", ["1.5", "1/-2", "", "a", "1e3", " 2", "3/0", None, 3])
+# the last four use Arabic-Indic and fullwidth digits, which int() accepts
+@pytest.mark.parametrize(
+    "bad", ["1.5", "1/-2", "", "a", "1e3", " 2", "3/0", None, 3, "\u0663", "\uff11", "1/\u0662", "-\u0663/2"]
+)
 def test_parse_scalar_rejects_non_exact_forms(bad):
     with pytest.raises(ValueError):
         parse_scalar(bad)
@@ -48,6 +51,16 @@ def test_parse_scalar_rejects_non_exact_forms(bad):
 def test_parse_scalar_rejects_more_than_4300_digits(text):
     with pytest.raises(ValueError, match="4300-digit limit"):
         parse_scalar(text)
+
+
+def test_load_holds_json_integers_to_the_digit_limit(tmp_path):
+    path = tmp_path / "long.json"
+    template = '{"r": 1, "d": 1, "q": %s, "kind": "forces", "entries": []}'
+    path.write_text(template % ("9" * 4300), encoding="utf-8")
+    assert load_tensor(path).q == 10**4300 - 1
+    path.write_text(template % ("1" + "0" * 4300), encoding="utf-8")
+    with pytest.raises(ValueError, match="4300-digit limit"):
+        load_tensor(path)
 
 
 def test_parse_scalar_accepts_4300_digits():
