@@ -18,6 +18,7 @@ requested with q != r*d).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -217,6 +218,7 @@ def cmd_verify_relations(args) -> int:
     return 0 if ok else 1
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="equidet",
@@ -227,11 +229,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("det", help="determinant of a square tensor file")
     p.add_argument("--input", required=True)
     p.add_argument("--matrix", action="store_true", help="also dump the labeled system matrix")
-    p.set_defaults(func=cmd_det)
 
     p = sub.add_parser("solve", help="decide solvability for a force file")
     p.add_argument("--input", required=True)
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("example", help="generate a worked-example tensor file")
     p.add_argument("name", choices=("cross-product", "wedge", "differences"))
@@ -240,7 +240,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--d", type=int, default=2, help="space dimension (differences)")
     p.add_argument("--s", type=int, default=3, help="source dimension (wedge)")
-    p.set_defaults(func=cmd_example)
 
     p = sub.add_parser("witness-search", help="random search for nonzero determinants")
     p.add_argument("--r", type=int, required=True)
@@ -249,20 +248,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bound", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--parallel", action="store_true")
-    p.set_defaults(func=cmd_witness_search)
 
     p = sub.add_parser("verify-relations", help="check redundancy identities on random inputs")
     p.add_argument("--r", type=int, default=2)
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--trials", type=int, default=20)
     p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(func=cmd_verify_relations)
 
     p = sub.add_parser("selfcheck", help="fast invariant suite")
     p.add_argument("--trials", type=int, default=8)
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--parallel", action="store_true")
-    p.set_defaults(func=cmd_selfcheck)
 
     return parser
 
@@ -273,7 +269,8 @@ def main(argv=None) -> int:
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(0)
     try:
-        return args.func(args)
+        # looked up at call time, so a rebound cmd_* (monkeypatch, tracer wrapper) runs
+        return globals()["cmd_" + args.command.replace("-", "_")](args)
     except (OSError, ValueError, OverflowError) as exc:  # bad input or arguments
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -1,10 +1,11 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 from equidet import ForceSystem, dump_tensor, load_tensor, tensor_from_json
-from equidet.cli import main
+from equidet.cli import _build_parser, main
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "forces_r2_d2_nonzero.json")
 
@@ -213,6 +214,39 @@ def test_det_exits_1_when_the_determinant_fails_its_check(tmp_path, monkeypatch,
     assert "internal error: determinant failed its check" in captured.err
     assert "Traceback" not in captured.err
     assert captured.out == ""
+
+
+def test_solve_exits_1_when_the_criterion_disagrees(tmp_path, monkeypatch, capsys):
+    import equidet.cli as cli
+
+    path = tmp_path / "cross.json"
+    assert main(["example", "cross-product", "--output", str(path), "--seed", "1"]) == 0
+    capsys.readouterr()
+    monkeypatch.setattr(cli, "det_sr", lambda cfg: Fraction(1))  # solvable, so det must be 0
+    assert main(["solve", "--input", str(path)]) == 1
+    out = capsys.readouterr().out.splitlines()
+    assert out[0] == "SOLVABLE"
+    assert out[-2:] == ["det = 1", "criterion: INCONSISTENT"]
+
+
+def test_parser_is_built_once():
+    assert _build_parser() is _build_parser()
+
+
+def test_main_runs_the_handler_bound_at_call_time(monkeypatch):
+    import equidet.cli as cli
+
+    monkeypatch.setattr(cli, "cmd_det", lambda args: 7)
+    assert main(["det", "--input", "x"]) == 7
+
+
+def test_cached_parser_survives_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["det"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert main(["det", "--input", FIXTURE]) == 0
+    assert capsys.readouterr().out == "26730\nNONZERO\n"
 
 
 def test_det_rejects_json_integers_over_the_digit_limit(tmp_path, capsys):

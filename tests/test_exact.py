@@ -6,6 +6,7 @@ from math import gcd, lcm
 import pytest
 
 from equidet import Matrix, det_exact, kernel_basis, kernel_vector, permutation_sign, rank_exact
+from equidet.exact import _free_vector
 
 
 def det_cofactor(rows):
@@ -36,6 +37,8 @@ def test_matrix_product_and_vec():
     assert a.mul_vec([1, 1]) == [3, 7]
     with pytest.raises(ValueError):
         a.mul_vec([1, 2, 3])
+    with pytest.raises(ValueError):
+        Matrix([[1]]) * a
 
 
 def test_det_trivial_cases():
@@ -43,6 +46,7 @@ def test_det_trivial_cases():
     assert det_exact(Matrix([[1, 2], [3, 4]])) == -2
     assert det_exact(Matrix([[1, 2], [1, 2]])) == 0
     assert det_exact(Matrix([[5]])) == 5
+    assert det_exact(Matrix([])) == Fraction(1)  # empty product
 
 
 def test_det_rejects_non_square():
@@ -199,6 +203,13 @@ def test_kernel_trivial_cases():
     assert len(basis) == 1
     v = basis[0]
     assert v[0] * (-1) == 2 * v[1] and any(v)
+
+
+def test_back_substitution_rejects_inexact_division():
+    # echelon rows that no Bareiss pass produces: x[2] = 3 gives x[1] = -1,
+    # then 2 * x[0] = 1 has no integer solution
+    with pytest.raises(ArithmeticError, match="inexact division"):
+        _free_vector([{0: 2, 1: 1}, {1: 3, 2: 1}], [0, 1], 2, 3)
 
 
 def test_kernel_vectors_satisfy_system_exactly():

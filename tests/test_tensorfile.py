@@ -126,6 +126,8 @@ def test_malformed_documents_rejected(mutate):
 def test_non_object_document_rejected():
     with pytest.raises(ValueError):
         tensor_from_json([1, 2, 3])
+    with pytest.raises(ValueError):
+        tensor_to_json(object())
 
 
 def test_zero_vectors_dropped_on_write():

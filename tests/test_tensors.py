@@ -72,6 +72,10 @@ def test_constructor_rejects_bad_keys():
         ForceSystem(2, 2, 4, {(1, 2): (1, 0, 0)})
     with pytest.raises(ValueError):
         ForceSystem(2, 2, 1)  # q < r
+    with pytest.raises(ValueError):
+        VectorConfiguration(0, 1, 1)  # r < 1
+    with pytest.raises(ValueError):
+        VectorConfiguration(3, 1, 2)  # q < r
 
 
 def test_to_configuration_signs():
@@ -102,6 +106,9 @@ def test_coefficient_symmetry():
     c = CoefficientSystem(2, 4, {(1, 2): 5})
     assert c.get((2, 1)) == 5
     assert c.get((1, 3)) == 0
+    assert c == CoefficientSystem(2, 4, {(1, 2): 5})
+    assert c != CoefficientSystem(2, 5, {(1, 2): 5})
+    assert c != "not a tensor"
 
     c3 = CoefficientSystem(3, 5, {(1, 2, 3): -2})
     for perm in permutations((1, 2, 3)):
@@ -124,6 +131,10 @@ def test_coefficient_rejects_repeats_and_bad_range():
         c.get((1, 1))
     with pytest.raises(ValueError):
         c.get((1, 9))
+    with pytest.raises(ValueError):
+        CoefficientSystem(2, 1)  # q < r
+    with pytest.raises(ValueError):
+        CoefficientSystem(2, 3, {(1, 2, 3): 1})  # wrong arity
 
 
 def test_coefficient_is_trivial():

@@ -77,6 +77,10 @@ def test_affine_dependence_hand_case():
 def test_affine_dependence_fails_when_underdetermined():
     with pytest.raises(ValueError):
         affine_dependence_lambda([(1, 0), (0, 1)])
+    with pytest.raises(ValueError):
+        affine_dependence_lambda([])
+    with pytest.raises(ValueError):
+        affine_dependence_lambda([(1, 2), (3,)])
 
 
 def test_wedge_is_alternating():
@@ -146,12 +150,16 @@ def test_difference_configuration_of_equal_points_is_zero():
 def test_difference_configuration_counts_points():
     with pytest.raises(ValueError):
         difference_configuration([(0, 0), (1, 1), (2, 2)])
+    with pytest.raises(ValueError):
+        difference_configuration([(0, 0), (1, 1), (2, 2, 2), (3, 3)])  # mixed dimensions
 
 
 def test_random_unimodular_determinant_one():
     for d in (1, 2, 3, 4):
         for seed in (0, 1, 7):
             assert det_exact(random_unimodular(d, seed)) == 1
+    with pytest.raises(ValueError):
+        random_unimodular(0, 1)
 
 
 def test_random_unimodular_reproducible_and_seed_sensitive():
