@@ -22,7 +22,6 @@ import functools
 import json
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from itertools import combinations
 from math import comb
 
@@ -33,6 +32,7 @@ from .exact import det_exact
 from .tensorfile import dump_tensor, format_scalar, load_tensor, tensor_to_json
 from .tensors import ForceSystem
 from .witnesses import (
+    _map_trials,
     cross_product_forces,
     difference_configuration,
     random_coefficients,
@@ -196,11 +196,7 @@ _SELFCHECK = (
 def cmd_selfcheck(args) -> int:
     jobs = [(check, r, d, args.seed + index, args.trials)
             for index, (_, check, r, d) in enumerate(_SELFCHECK)]
-    if args.parallel:
-        with ProcessPoolExecutor() as pool:
-            outcomes = list(pool.map(run_property, *zip(*jobs)))
-    else:
-        outcomes = [run_property(*job) for job in jobs]
+    outcomes = _map_trials(run_property, jobs, args.parallel)
     for (name, *_), ok in zip(_SELFCHECK, outcomes):
         print(f"{'PASS' if ok else 'FAIL'} {name}: {args.trials} trials")
     failed = [name for (name, *_), ok in zip(_SELFCHECK, outcomes) if not ok]

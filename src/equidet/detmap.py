@@ -33,7 +33,7 @@ from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration
 
 @dataclass(frozen=True)
 class SystemMatrix:
-    """Square system with labeled rows ((r-1)-tuple, coordinate) and columns (r-tuples)."""
+    """Labeled system, square or full: rows ((r-1)-tuple, coordinate), columns (r-tuples)."""
 
     matrix: Matrix
     row_labels: tuple
@@ -81,12 +81,12 @@ def _incidence_pattern(r: int, d: int, q: int, eq_q: int, sign):
     return pattern, row_labels, col_labels
 
 
-def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> Matrix:
-    """d sparse rows per equation M, an (r-1)-subset of {1..eq_q} in colex
-    order, over the r-tuples of {1..q} in colex order; column sorted(M + {i})
-    holds sign(M, i) * values[sorted(M + {i})], where ``values`` maps sorted
-    r-tuples to d-vectors.  Only the stored slots are visited; their rows,
-    columns and signs come from the cached :func:`_incidence_pattern`."""
+def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> SystemMatrix:
+    """Labeled system of d sparse rows per equation M, an (r-1)-subset of
+    {1..eq_q} in colex order, over the r-tuples of {1..q} in colex order;
+    column sorted(M + {i}) holds sign(M, i) * values[sorted(M + {i})], where
+    ``values`` maps sorted r-tuples to d-vectors.  Only the stored slots are
+    visited; rows, columns, signs and labels come from :func:`_incidence_pattern`."""
     pattern, row_labels, col_labels = _incidence_pattern(r, d, q, eq_q, sign)
     rows = [{} for _ in row_labels]
     for key, vec in values.items():
@@ -95,7 +95,7 @@ def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> Matrix:
             for row, x in enumerate(vec, base):
                 if x:
                     rows[row][j] = -x if negate else x
-    return Matrix._from_sparse(rows, len(col_labels))
+    return SystemMatrix(Matrix._from_sparse(rows, len(col_labels)), row_labels, col_labels)
 
 
 @lru_cache(maxsize=None)
@@ -123,12 +123,12 @@ def _relation_rows(r: int, d: int, q: int, sign) -> Matrix:
 
 def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     """Assemble the square system for a configuration with q = r*d."""
+    if not isinstance(v, VectorConfiguration):
+        raise TypeError(f"square system needs a VectorConfiguration, got {type(v).__name__}")
     r, d, q = v.r, v.d, v.q
     if q != r * d:
         raise ValueError(f"square system needs q = r*d, got q={q} with r={r}, d={d}")
-    _, row_labels, col_labels = _incidence_pattern(r, d, q, q - 1, term_sign)
-    matrix = _incidence_rows(v.entries, r, d, q, q - 1, term_sign)
-    return SystemMatrix(matrix, row_labels, col_labels)
+    return _incidence_rows(v.entries, r, d, q, q - 1, term_sign)
 
 
 def det_sr(v: VectorConfiguration) -> Fraction:
@@ -153,6 +153,5 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
     else:
         values, sign = v.entries, term_sign
     system = _incidence_rows(values, v.r, v.d, v.q, v.q, sign)
-    col_labels = _incidence_pattern(v.r, v.d, v.q, v.q, sign)[2]
-    at_lam = system.mul_vec([lam.canonical.get(t, 0) for t in col_labels])
+    at_lam = system.matrix.mul_vec([lam.canonical.get(t, 0) for t in system.col_labels])
     return not any(_relation_rows(v.r, v.d, v.q, sign).mul_vec(at_lam))

@@ -34,19 +34,20 @@ class EquilibriumSystem:
 
 def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
     """All per-tuple force-balance equations for ``f``, full and reduced."""
+    if not isinstance(f, ForceSystem):
+        raise TypeError(f"equilibrium system needs a ForceSystem, got {type(f).__name__}")
     r, d, q = f.r, f.d, f.q
-    _, row_labels, col_labels = detmap._incidence_pattern(r, d, q, q, detmap._order_sign)
     full = detmap._incidence_rows(f.canonical, r, d, q, q, detmap._order_sign)
     # colex order lists the tuples avoiding q first
-    reduced = Matrix._from_sparse(full.sparse[: d * comb(q - 1, r - 1)], full.cols)
+    reduced = Matrix._from_sparse(full.matrix.sparse[: d * comb(q - 1, r - 1)], full.matrix.cols)
     return EquilibriumSystem(
         r=r,
         d=d,
         q=q,
-        full_matrix=full,
+        full_matrix=full.matrix,
         reduced_matrix=reduced,
-        row_labels=row_labels,
-        col_labels=col_labels,
+        row_labels=full.row_labels,
+        col_labels=full.col_labels,
     )
 
 
@@ -99,17 +100,15 @@ class ConsistencyReport:
 def theorem_consistency(f: ForceSystem) -> ConsistencyReport:
     """Cross-check the determinant criterion against direct kernel computation.
 
-    Requires q = r*d.  ``consistent`` records whether (determinant == 0)
-    coincides with the full system having a nontrivial kernel;
-    ``reduced_matches_full`` whether dropping the particle-q equations
-    changed nothing (equal kernel dimensions, i.e. equal ranks since both
-    matrices have the same columns, and every reduced-kernel vector solving
-    the full system).
+    Requires q = r*d, which :func:`detmap.det_sr` checks (``ValueError``).
+    ``consistent`` records whether (determinant == 0) coincides with the full
+    system having a nontrivial kernel; ``reduced_matches_full`` whether
+    dropping the particle-q equations changed nothing (equal kernel
+    dimensions, i.e. equal ranks since both matrices have the same columns,
+    and every reduced-kernel vector solving the full system).
     """
-    if f.q != f.r * f.d:
-        raise ValueError(f"criterion needs q = r*d, got q={f.q} with r={f.r}, d={f.d}")
     system = build_equilibrium_system(f)
-    det_value = detmap.det_sr(f.to_configuration())
+    det_value = detmap.det_sr(f.to_configuration())  # also the q = r*d check
     kernel = kernel_basis(system.full_matrix)
     consistent = (det_value == 0) == (len(kernel) > 0)
     reduced_kernel = kernel_basis(system.reduced_matrix)

@@ -28,6 +28,8 @@ def _check_index_sequence(idx, r, q):
 
 def _vector_entries(r, d, q, entries):
     """Validated copy of a {sorted r-tuple: d-vector} mapping, zero vectors dropped."""
+    if r < 1 or d < 1 or q < r:
+        raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={r}, d={d}, q={q}")
     out = {}
     for key, vec in (entries or {}).items():
         key = check_sorted_tuple(key, q)
@@ -46,8 +48,6 @@ class VectorConfiguration:
     """A d-vector for every sorted r-tuple over {1..q}; zero slots are implicit."""
 
     def __init__(self, r: int, d: int, q: int, entries=None):
-        if r < 1 or d < 1 or q < r:
-            raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={r}, d={d}, q={q}")
         self.r = r
         self.d = d
         self.q = q
@@ -91,8 +91,6 @@ class ForceSystem:
     """Fully antisymmetric family of d-vectors indexed by r-tuples over {1..q}."""
 
     def __init__(self, r: int, d: int, q: int, canonical=None):
-        if r < 1 or d < 1 or q < r:
-            raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={r}, d={d}, q={q}")
         self.r = r
         self.d = d
         self.q = q

@@ -179,15 +179,23 @@ class WitnessReport:
     seed: int
 
 
-def _trial_configuration(job):
-    r, d, bound, child_seed = job
+def _map_trials(fn, jobs, parallel):
+    """``[fn(*job) for job in jobs]``; with ``parallel`` the same list comes
+    from a process pool, so ``fn`` and every job must pickle."""
+    if parallel:
+        with ProcessPoolExecutor() as pool:
+            return list(pool.map(fn, *zip(*jobs)))
+    return [fn(*job) for job in jobs]
+
+
+def _trial_configuration(r, d, bound, child_seed):
     return random_configuration(r, d, bound, random.Random(child_seed))
 
 
-def _witness_trial(job):
+def _witness_trial(r, d, bound, child_seed):
     # only the verdict crosses the process boundary; witness_search rebuilds
     # the first witness from its job
-    return det_sr(_trial_configuration(job)) != 0
+    return det_sr(_trial_configuration(r, d, bound, child_seed)) != 0
 
 
 def witness_search(r: int, d: int, trials: int, bound: int, seed: int, parallel: bool = False) -> WitnessReport:
@@ -204,12 +212,8 @@ def witness_search(r: int, d: int, trials: int, bound: int, seed: int, parallel:
         raise ValueError(f"need bound >= 1, got {bound}")
     rng = random.Random(seed)
     jobs = [(r, d, bound, rng.getrandbits(64)) for _ in range(trials)]
-    if parallel:
-        with ProcessPoolExecutor() as pool:
-            hits = list(pool.map(_witness_trial, jobs))
-    else:
-        hits = [_witness_trial(job) for job in jobs]
-    first_witness = next((_trial_configuration(job) for job, hit in zip(jobs, hits) if hit), None)
+    hits = _map_trials(_witness_trial, jobs, parallel)
+    first_witness = next((_trial_configuration(*job) for job, hit in zip(jobs, hits) if hit), None)
     return WitnessReport(
         r=r,
         d=d,

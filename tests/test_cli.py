@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -383,6 +386,8 @@ def test_witness_search_deterministic(capsys):
     first = capsys.readouterr().out
     main(["witness-search", "--r", "2", "--d", "2", "--trials", "4", "--seed", "11"])
     assert capsys.readouterr().out == first
+    main(["witness-search", "--r", "2", "--d", "2", "--trials", "4", "--seed", "11", "--parallel"])
+    assert capsys.readouterr().out == first
 
 
 def test_witness_search_rejects_bad_counts(capsys):
@@ -430,3 +435,20 @@ def test_readme_examples_match_recorded_output(tmp_path, monkeypatch, capsys):
     for case in json.loads(README_GOLDEN.read_text(encoding="utf-8")):
         assert main(case["argv"]) == case["exit_code"], case["argv"]
         assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
+def test_module_entry_point_matches_main_and_exit_codes(tmp_path, capsys):
+    src = str(Path(__file__).parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = dict(os.environ, PYTHONPATH=path)
+
+    def run(*argv):
+        return subprocess.run(
+            [sys.executable, "-m", "equidet.cli", *argv], capture_output=True, text=True, env=env
+        )
+
+    done = run("det", "--input", FIXTURE)
+    assert done.returncode == 0
+    assert main(["det", "--input", FIXTURE]) == 0
+    assert done.stdout == capsys.readouterr().out
+    assert run("det", "--input", str(tmp_path / "missing.json")).returncode == 2

@@ -337,7 +337,7 @@ def test_cached_builder_matches_uncached_reference_on_every_small_shape(form, en
                     x, sign = ForceSystem(r, d, q, values), _order_sign
                     stored = x.canonical
                 for eq_q in (q - 1, q):
-                    m = _incidence_rows(stored, r, d, q, eq_q, sign)
+                    m = _incidence_rows(stored, r, d, q, eq_q, sign).matrix
                     assert (m.rows, m.cols) == (d * comb(eq_q, r - 1), comb(q, r))
                     assert all(all(row.values()) for row in m.sparse)  # nonzeros only
                     assert m.data == reference_rows(x.get, r, d, q, eq_q, sign), (r, d, q, eq_q)
@@ -360,13 +360,13 @@ def test_cached_layout_is_never_shared_or_stale(monkeypatch, form):
     # square (q - 1) and full (q) equation ranges: fresh rows on every build
     for eq_q in (q - 1, q):
         expected = reference_rows(x.get, r, d, q, eq_q, sign)
-        first = _incidence_rows(values, r, d, q, eq_q, sign)
-        second = _incidence_rows(values, r, d, q, eq_q, sign)
+        first = _incidence_rows(values, r, d, q, eq_q, sign).matrix
+        second = _incidence_rows(values, r, d, q, eq_q, sign).matrix
         assert {id(row) for row in first.sparse}.isdisjoint(id(row) for row in second.sparse)
         first.sparse[0][0] = 99
         first.sparse[-1].clear()
         assert second.data == expected
-        assert _incidence_rows(values, r, d, q, eq_q, sign).data == expected
+        assert _incidence_rows(values, r, d, q, eq_q, sign).matrix.data == expected
 
     # the shared relation matrix is read, never written
     relations = _relation_rows(r, d, q, sign)

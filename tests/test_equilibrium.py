@@ -10,11 +10,13 @@ from equidet import (
     CoefficientSystem,
     ForceSystem,
     build_equilibrium_system,
+    build_system_matrix,
     cross_product_forces,
     det_sr,
     kernel_basis,
     load_tensor,
     rank_exact,
+    random_configuration,
     random_force_system,
     residual,
     row_dependence_holds,
@@ -249,3 +251,34 @@ def test_solution_coefficients_are_symmetric():
     lam = solve_nontrivial(f)
     for i, j in subsets_colex(5, 2):
         assert lam.get((i, j)) == lam.get((j, i))
+
+
+@pytest.mark.parametrize(
+    "call, given",
+    [
+        (det_sr, "ForceSystem"),
+        (build_system_matrix, "ForceSystem"),
+        (build_equilibrium_system, "VectorConfiguration"),
+        (solve_nontrivial, "VectorConfiguration"),
+        (lambda cfg: residual(cfg, CoefficientSystem(2, 4)), "VectorConfiguration"),
+        (row_dependence_holds, "VectorConfiguration"),
+        (theorem_consistency, "VectorConfiguration"),
+    ],
+    ids=[
+        "det_sr",
+        "build_system_matrix",
+        "build_equilibrium_system",
+        "solve_nontrivial",
+        "residual",
+        "row_dependence_holds",
+        "theorem_consistency",
+    ],
+)
+def test_wrong_tensor_kind_raises_type_error(call, given):
+    rng = random.Random(41)
+    if given == "ForceSystem":
+        wrong = random_force_system(2, 2, 4, 5, rng)
+    else:
+        wrong = random_configuration(2, 2, 5, rng)
+    with pytest.raises(TypeError, match=f"got {given}$"):
+        call(wrong)

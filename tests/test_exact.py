@@ -39,6 +39,11 @@ def test_matrix_product_and_vec():
         a.mul_vec([1, 2, 3])
     with pytest.raises(ValueError):
         Matrix([[1]]) * a
+    # only another Matrix compares equal or multiplies
+    assert (Matrix([[1]]) == [[1]]) is False
+    with pytest.raises(TypeError):
+        Matrix([[1]]) * 3
+    assert repr(Matrix([[1, 2]])) == "Matrix(1x2)"
 
 
 def test_det_trivial_cases():

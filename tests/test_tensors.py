@@ -153,6 +153,12 @@ def test_configuration_zero_default_and_validation():
         v.get((1, 2, 3))
     with pytest.raises(ValueError):
         VectorConfiguration(2, 2, 4, {(1, 2): (1,)})
+    # the two kinds use different sign conventions: equal numbers are not equal tensors
+    e = {(1, 2): (1, 2)}
+    assert (VectorConfiguration(2, 2, 4, e) == ForceSystem(2, 2, 4, e)) is False
+    assert repr(v) == "VectorConfiguration(r=2, d=2, q=4, 1 nonzero slots)"
+    assert repr(ForceSystem(2, 2, 4, e)) == "ForceSystem(r=2, d=2, q=4, 1 nonzero tuples)"
+    assert repr(CoefficientSystem(2, 4, {(1, 2): 3})) == "CoefficientSystem(r=2, q=4, 1 nonzero tuples)"
 
 
 @pytest.mark.parametrize("bad", [1.5, True, Decimal(1), "1"], ids=["float", "bool", "decimal", "str"])
