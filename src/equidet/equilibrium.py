@@ -62,7 +62,7 @@ def solve_nontrivial(f: ForceSystem):
     if any(system.full_matrix.mul_vec(vec)):
         raise ArithmeticError("kernel vector does not solve the equilibrium system")
     canonical = {t: x for t, x in zip(system.col_labels, vec) if x}
-    return CoefficientSystem(f.r, f.q, canonical)
+    return CoefficientSystem._from_checked(f.r, f.q, canonical)
 
 
 def residual(f: ForceSystem, lam: CoefficientSystem) -> Fraction:

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
-from itertools import compress, count
+from itertools import chain, compress, count
 from math import gcd, lcm
 
 from .combinat import permutation_sign
@@ -117,8 +117,12 @@ def _sparse_rows(m: Matrix):
     the matrix's own dicts, which elimination reads but never mutates.
 
     This is where every matrix enters elimination, so it is also where
-    entries that are not exact scalars are rejected.
+    entries that are not exact scalars are rejected.  One scan of the entry
+    types passes an all-int matrix (the common case) as it is; any other
+    matrix is checked and cleared row by row.
     """
+    if set(map(type, chain.from_iterable(map(dict.values, m.sparse)))) <= {int}:
+        return list(m.sparse), 1
     rows = []
     clearing = 1
     for entries in m.sparse:

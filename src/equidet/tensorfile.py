@@ -18,6 +18,11 @@ and so has every JSON integer (r, d, q and the indices).  Index tuples are
 strictly increasing, 1-based, of length r; duplicates are rejected and
 missing tuples mean the zero vector.  Serialization is canonical: entries
 in colex order, zero vectors omitted, scalars in lowest terms.
+
+The loader checks the document's structure and parses each scalar, then
+builds the tensor through the public constructor, so the entry rule (sorted
+in-range keys, vector length, exact scalars, zero vectors dropped) is applied
+by :mod:`equidet.tensors` alone.
 """
 
 from __future__ import annotations

@@ -5,11 +5,20 @@ accessors supply full antisymmetry (forces) or full symmetry (coefficients),
 so those invariants are structural rather than duplicated in storage.
 Absent tuples read as zero.  Instances are treated as immutable after
 construction.
+
+Values are checked once, where they enter the package.  The public
+constructors validate every key and value they are given (sorted in-range
+r-tuples, d-vectors of exact scalars) and drop zero vectors; the file loader
+in :mod:`equidet.tensorfile` builds through them.  Code that builds a tensor
+from values it made itself (the random generators, ``to_configuration``,
+``with_slot``, the solver's coefficient family) stores them through the
+private ``_from_checked`` constructors, which take the mapping as it is:
+every key a sorted in-range r-tuple and every value a nonzero exact d-vector
+(for coefficients, a nonzero exact scalar).
 """
 
 from __future__ import annotations
 
-from copy import copy
 from fractions import Fraction
 
 from .combinat import check_sorted_tuple, permutation_sign
@@ -26,10 +35,19 @@ def _check_index_sequence(idx, r, q):
     return idx
 
 
-def _vector_entries(r, d, q, entries):
-    """Validated copy of a {sorted r-tuple: d-vector} mapping, zero vectors dropped."""
+def _check_shape(r, d, q):
     if r < 1 or d < 1 or q < r:
         raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={r}, d={d}, q={q}")
+
+
+def _check_coefficient_shape(r, q):
+    if r < 1 or q < r:
+        raise ValueError(f"need r >= 1, q >= r, got r={r}, q={q}")
+
+
+def _vector_entries(r, d, q, entries):
+    """Validated copy of a {sorted r-tuple: d-vector} mapping, zero vectors dropped."""
+    _check_shape(r, d, q)
     out = {}
     for key, vec in (entries or {}).items():
         key = check_sorted_tuple(key, q)
@@ -53,6 +71,15 @@ class VectorConfiguration:
         self.q = q
         self.entries = _vector_entries(r, d, q, entries)
 
+    @classmethod
+    def _from_checked(cls, r: int, d: int, q: int, entries) -> "VectorConfiguration":
+        """Configuration over ``entries`` taken without a copy or a check: the
+        caller guarantees sorted in-range r-tuples mapping to nonzero d-vectors
+        of exact scalars."""
+        v = cls.__new__(cls)
+        v.r, v.d, v.q, v.entries = r, d, q, entries
+        return v
+
     def get(self, key):
         key = check_sorted_tuple(key, self.q)
         if len(key) != self.r:
@@ -71,9 +98,7 @@ class VectorConfiguration:
             entries[key] = slot[key]
         else:
             entries.pop(key, None)
-        new = copy(self)
-        new.entries = entries
-        return new
+        return self._from_checked(self.r, self.d, self.q, entries)
 
     def __eq__(self, other):
         if not isinstance(other, VectorConfiguration):
@@ -95,6 +120,14 @@ class ForceSystem:
         self.d = d
         self.q = q
         self.canonical = _vector_entries(r, d, q, canonical)
+
+    @classmethod
+    def _from_checked(cls, r: int, d: int, q: int, canonical) -> "ForceSystem":
+        """Force system over ``canonical`` taken without a copy or a check, on
+        the same guarantee as :meth:`VectorConfiguration._from_checked`."""
+        f = cls.__new__(cls)
+        f.r, f.d, f.q, f.canonical = r, d, q, canonical
+        return f
 
     def get(self, idx):
         """Value at an arbitrary index sequence: zero on repeats, else the
@@ -122,7 +155,7 @@ class ForceSystem:
                 entries[key] = tuple(-x for x in vec)
             else:
                 entries[key] = vec
-        return VectorConfiguration(self.r, self.d, self.q, entries)
+        return VectorConfiguration._from_checked(self.r, self.d, self.q, entries)
 
     def __eq__(self, other):
         if not isinstance(other, ForceSystem):
@@ -140,8 +173,7 @@ class CoefficientSystem:
     """Fully symmetric scalar family indexed by r-tuples over {1..q}."""
 
     def __init__(self, r: int, q: int, canonical=None):
-        if r < 1 or q < r:
-            raise ValueError(f"need r >= 1, q >= r, got r={r}, q={q}")
+        _check_coefficient_shape(r, q)
         self.r = r
         self.q = q
         self.canonical = {}
@@ -152,6 +184,15 @@ class CoefficientSystem:
             _check_exact(value)
             if value != 0:
                 self.canonical[key] = value
+
+    @classmethod
+    def _from_checked(cls, r: int, q: int, canonical) -> "CoefficientSystem":
+        """Coefficient family over ``canonical`` taken without a copy or a
+        check: the caller guarantees sorted in-range r-tuples mapping to
+        nonzero exact scalars."""
+        lam = cls.__new__(cls)
+        lam.r, lam.q, lam.canonical = r, q, canonical
+        return lam
 
     def get(self, idx):
         """Value at any ordering of distinct indices; repeats are rejected."""

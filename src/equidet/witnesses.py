@@ -8,6 +8,7 @@ and parallel trial evaluation returns exactly the sequential result.
 
 from __future__ import annotations
 
+import os
 import random
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -18,7 +19,13 @@ from math import comb
 from .combinat import subsets_colex
 from .detmap import det_sr
 from .exact import Matrix, kernel_basis
-from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration
+from .tensors import (
+    CoefficientSystem,
+    ForceSystem,
+    VectorConfiguration,
+    _check_coefficient_shape,
+    _check_shape,
+)
 
 
 def _cross(u, w):
@@ -144,29 +151,40 @@ def sl_transform(v: VectorConfiguration, g: Matrix) -> VectorConfiguration:
     return VectorConfiguration(v.r, v.d, v.q, entries)
 
 
+def _random_vectors(r: int, d: int, q: int, bound: int, rng):
+    """A d-vector uniform in [-bound, bound]^d drawn for every sorted r-tuple
+    in colex order; the nonzero ones, by tuple."""
+    randint = rng.randint
+    entries = {}
+    for key in subsets_colex(q, r):
+        vec = tuple([randint(-bound, bound) for _ in range(d)])
+        if any(vec):
+            entries[key] = vec
+    return entries
+
+
 def random_configuration(r: int, d: int, bound: int, rng) -> VectorConfiguration:
     """Configuration on r*d particles, every slot an integer vector uniform in [-bound, bound]."""
     q = r * d
-    entries = {
-        key: tuple(rng.randint(-bound, bound) for _ in range(d))
-        for key in subsets_colex(q, r)
-    }
-    return VectorConfiguration(r, d, q, entries)
+    _check_shape(r, d, q)
+    return VectorConfiguration._from_checked(r, d, q, _random_vectors(r, d, q, bound, rng))
 
 
 def random_force_system(r: int, d: int, q: int, bound: int, rng) -> ForceSystem:
     """Force system with random integer canonical entries in [-bound, bound]."""
-    canonical = {
-        key: tuple(rng.randint(-bound, bound) for _ in range(d))
-        for key in subsets_colex(q, r)
-    }
-    return ForceSystem(r, d, q, canonical)
+    _check_shape(r, d, q)
+    return ForceSystem._from_checked(r, d, q, _random_vectors(r, d, q, bound, rng))
 
 
 def random_coefficients(r: int, q: int, bound: int, rng) -> CoefficientSystem:
     """Coefficient family with random integer canonical values in [-bound, bound]."""
-    canonical = {key: rng.randint(-bound, bound) for key in subsets_colex(q, r)}
-    return CoefficientSystem(r, q, canonical)
+    _check_coefficient_shape(r, q)
+    canonical = {}
+    for key in subsets_colex(q, r):
+        value = rng.randint(-bound, bound)
+        if value:
+            canonical[key] = value
+    return CoefficientSystem._from_checked(r, q, canonical)
 
 
 @dataclass(frozen=True)
@@ -183,7 +201,7 @@ def _map_trials(fn, jobs, parallel):
     """``[fn(*job) for job in jobs]``; with ``parallel`` the same list comes
     from a process pool, so ``fn`` and every job must pickle."""
     if parallel:
-        with ProcessPoolExecutor() as pool:
+        with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             return list(pool.map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]
 

@@ -114,6 +114,12 @@ def test_roundtrip_is_canonical_idempotent():
         lambda d: d["entries"].append({"idx": [1, 3], "vec": ["1"]}),  # wrong length
         lambda d: d["entries"].append({"idx": [1, 3], "vec": ["1", "0.5"]}),  # float string
         lambda d: d["entries"].append({"idx": [1, 3], "vec": ["1", 2]}),  # bare number
+        lambda d: d["entries"].append({"idx": [True, 2], "vec": ["1", "1"]}),  # boolean index
+        lambda d: d["entries"].append({"idx": [1, 3], "vec": ["1", [2]]}),  # list scalar
+        lambda d: d["entries"].append({"idx": [1, 3], "vec": ["1", {"2": 2}]}),  # object scalar
+        # a bare number equal to a scalar string parsed earlier in the same file
+        lambda d: d["entries"].extend([{"idx": [1, 3], "vec": ["2", "1"]}, {"idx": [2, 3], "vec": ["1", 2]}]),
+        lambda d: d.update(r=3, q=2, entries=[]),  # q < r, nothing else to reject
     ],
 )
 def test_malformed_documents_rejected(mutate):

@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -20,6 +21,8 @@ from equidet import (
     wedge_forces,
     witness_search,
 )
+from equidet import witnesses
+from equidet.cli import main
 from equidet.witnesses import _wedge
 
 
@@ -235,3 +238,22 @@ def test_generated_forces_pass_antisymmetry_spot_checks():
         assert f.get((j, i, k)) == tuple(-x for x in base)
         assert f.get((j, k, i)) == base
         assert f.get((k, i, j)) == base
+
+
+@pytest.mark.parametrize("trials, cpus, workers", [(1, os.cpu_count(), 1), (3, 2, 2), (2, None, 1)])
+def test_parallel_search_starts_at_most_one_worker_per_trial_and_cpu(monkeypatch, capsys, trials, cpus, workers):
+    started = []
+
+    class RecordingPool(witnesses.ProcessPoolExecutor):
+        def __init__(self, max_workers=None, **kwargs):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
+
+    monkeypatch.setattr(witnesses, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(witnesses.os, "cpu_count", lambda: cpus)
+    argv = ["witness-search", "--r", "2", "--d", "2", "--trials", str(trials), "--seed", "3"]
+    assert main(argv + ["--parallel"]) == 0
+    parallel_out = capsys.readouterr().out
+    assert started == [workers]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == parallel_out
