@@ -10,9 +10,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 check failure (a failed invariant or criterion, or
 an exact result that fails its own check, reported by any command as
-"internal error: ..."), 2 input error (OSError, ValueError, or OverflowError
-from a shape too large to enumerate), 3 precondition violation (determinant
-requested with q != r*d).
+"internal error: ..."), 2 input error (OSError, ValueError, including a shape
+too large to enumerate, or OverflowError), 3 precondition violation
+(determinant requested with q != r*d).
 """
 
 from __future__ import annotations

@@ -9,6 +9,7 @@ elements first), so ranks are stable as the ground set grows.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
@@ -55,7 +56,14 @@ def subset_unrank(rank: int, k: int, n: int):
 
 @lru_cache(maxsize=None)
 def subsets_colex(n: int, k: int):
-    """All k-subsets of {1..n} as sorted tuples, in colexicographic order."""
+    """All k-subsets of {1..n} as sorted tuples, in colexicographic order.
+
+    ``ValueError`` for an n above ``sys.maxsize``, which no range can enumerate."""
+    if n > sys.maxsize:
+        raise ValueError(
+            f"cannot enumerate the {k}-subsets of {{1..n}}: the particle count n has"
+            f" {len(str(n))} digits (at most {sys.maxsize})"
+        )
     if k < 0:
         return ()
     return tuple(sorted(combinations(range(1, n + 1), k), key=lambda t: t[::-1]))

@@ -4,10 +4,18 @@ For a force system on q particles there is one d-row vector equation per
 (r-1)-subset M of {1..q}: the unknown attached to M + {i} multiplies the
 force value read at the written order M + (i,).  The rows come from the
 equation builder shared with ``detmap``, and the sign of that written order
-also combines them in :func:`row_dependence_holds`.  The solver always works
-with the full system, so its correctness never leans on the redundancy
-structure; the reduced system (equations avoiding particle q) is built
-alongside and their agreement is checked, not assumed.
+also combines them in :func:`row_dependence_holds`.
+
+When q > r*d the solver eliminates only the first k = r*d + 1 particles and
+certifies on the full system.  Their C(k, r) unknowns come first in colex
+order and meet only the first d * C(k, r-1) rows, whose rank the row
+dependences cap at d * C(k-1, r-1) = (rd / (rd+1)) * C(k, r) < C(k, r).  So that
+prefix system always has a kernel vector, and padded with zeros it is the
+full system's first kernel vector.  Every answer is still checked on the full
+matrix, and "no solution" only ever comes from eliminating the full system
+(k = q when q <= r*d + 1).  The reduced system (equations avoiding particle q)
+is built alongside and its agreement with the full one is checked, not
+assumed.
 """
 
 from __future__ import annotations
@@ -53,16 +61,36 @@ def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
 
 def solve_nontrivial(f: ForceSystem):
     """A nonzero symmetric coefficient family solving every equation exactly,
-    or None when only the trivial rescaling works.  The family is checked on
-    the matrix that was eliminated; ``ArithmeticError`` if any equation is nonzero."""
+    or None when only the trivial rescaling works.
+
+    Eliminates the system of the first k = min(q, r*d + 1) particles: the
+    first d * C(k, r-1) rows cut to the first C(k, r) columns, whose rank is
+    at most d * C(k-1, r-1) < C(k, r) when k = r*d + 1.  Its first kernel
+    vector, padded with zeros, is the full system's, and it is certified on
+    the full system; ``ArithmeticError`` if any equation is nonzero, or if
+    the prefix of q > r*d particles has no kernel vector."""
     system = build_equilibrium_system(f)
-    vec = kernel_vector(system.full_matrix)
+    full = system.full_matrix
+    r, d, q = f.r, f.d, f.q
+    k = min(q, r * d + 1)
+    if k == q:
+        prefix = full
+    else:
+        cols = comb(k, r)
+        rows = full.sparse[: d * comb(k, r - 1)]
+        prefix = Matrix._from_sparse(
+            [{j: x for j, x in row.items() if j < cols} for row in rows], cols
+        )
+    vec = kernel_vector(prefix)
     if vec is None:
+        if k < q:
+            raise ArithmeticError(f"the first {k} particles' system has no kernel vector")
         return None
-    if any(system.full_matrix.mul_vec(vec)):
+    vec += [0] * (full.cols - prefix.cols)
+    if any(full.mul_vec(vec)):
         raise ArithmeticError("kernel vector does not solve the equilibrium system")
     canonical = {t: x for t, x in zip(system.col_labels, vec) if x}
-    return CoefficientSystem._from_checked(f.r, f.q, canonical)
+    return CoefficientSystem._from_checked(r, q, canonical)
 
 
 def residual(f: ForceSystem, lam: CoefficientSystem) -> Fraction:

@@ -19,6 +19,7 @@ every key a sorted in-range r-tuple and every value a nonzero exact d-vector
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 
 from .combinat import check_sorted_tuple, permutation_sign
@@ -35,12 +36,28 @@ def _check_index_sequence(idx, r, q):
     return idx
 
 
+def _check_size(name, value):
+    """An index tuple has r entries and a vector d, and a length is a C size,
+    so neither may pass ``sys.maxsize``.  The message gives the field's digit
+    count, not its value.  q is not bounded here: a sparse tensor over any
+    number of particles can be stored, and :func:`equidet.combinat.subsets_colex`
+    rejects a particle count too large to enumerate."""
+    if value > sys.maxsize:
+        raise ValueError(
+            f"field {name!r} has {len(str(value))} digits, too large to enumerate"
+            f" (at most {sys.maxsize})"
+        )
+
+
 def _check_shape(r, d, q):
+    _check_size("r", r)
+    _check_size("d", d)
     if r < 1 or d < 1 or q < r:
         raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={r}, d={d}, q={q}")
 
 
 def _check_coefficient_shape(r, q):
+    _check_size("r", r)
     if r < 1 or q < r:
         raise ValueError(f"need r >= 1, q >= r, got r={r}, q={q}")
 

@@ -133,11 +133,26 @@ def test_shape_too_large_to_enumerate_exits_2(tmp_path, capsys, command):
     )
     assert main([command, "--input", str(path)]) == 2
     captured = capsys.readouterr()
-    assert "error:" in captured.err
+    assert "error: field 'r' has 22 digits" in captured.err
+    assert str(huge) not in captured.err
     assert "Traceback" not in captured.err
     assert "internal error" not in captured.err
     assert captured.out == ""
 
+
+
+def test_solve_on_a_particle_count_too_large_to_enumerate_exits_2(tmp_path, capsys):
+    # r and d are small, so the file loads; the solver cannot list the tuples over q
+    path = tmp_path / "many.json"
+    path.write_text(
+        json.dumps({"r": 2, "d": 1, "q": 10**25, "kind": "forces", "entries": []}),
+        encoding="utf-8",
+    )
+    assert main(["solve", "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert "error: cannot enumerate" in captured.err
+    assert "has 26 digits" in captured.err
+    assert captured.out == ""
 
 def test_values_over_4300_digits_print(tmp_path, capsys):
     # 1000-digit entries give a determinant of about 6000 digits, past the
@@ -199,6 +214,23 @@ def test_solve_exits_1_when_the_kernel_vector_fails_its_certificate(tmp_path, mo
     monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: list(bad))
     path = tmp_path / "f.json"
     dump_tensor(f, path)
+    assert main(["solve", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err
+    assert "SOLVABLE" not in captured.out
+
+
+@pytest.mark.parametrize("r, d, q", [(2, 2, 6), (3, 2, 8)])
+def test_solve_exits_1_when_the_prefix_vector_fails_its_certificate(
+    tmp_path, corrupt_prefix_vectors, capsys, r, d, q
+):
+    import random
+
+    from equidet import random_force_system
+
+    path = tmp_path / "f.json"
+    dump_tensor(random_force_system(r, d, q, 5, random.Random(73)), path)
+    corrupt_prefix_vectors(r, d)
     assert main(["solve", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert "internal error" in captured.err
@@ -436,6 +468,18 @@ def test_readme_examples_match_recorded_output(tmp_path, monkeypatch, capsys):
         assert main(case["argv"]) == case["exit_code"], case["argv"]
         assert capsys.readouterr().out == case["stdout"], case["argv"]
 
+
+
+SOLVE_GOLDEN = Path(__file__).parent / "fixtures" / "solve_overdet_golden.json"
+
+
+@pytest.mark.parametrize("name", sorted(json.loads(SOLVE_GOLDEN.read_text(encoding="utf-8"))))
+def test_overdetermined_solve_matches_recorded_output(name, capsys):
+    # seeded (2, 2, 7) and (3, 2, 8) force files; stdout recorded from the
+    # solver that eliminated the whole system
+    case = json.loads(SOLVE_GOLDEN.read_text(encoding="utf-8"))[name]
+    assert main(["solve", "--input", str(SOLVE_GOLDEN.parent / name)]) == case["exit_code"]
+    assert capsys.readouterr().out == case["stdout"]
 
 def test_module_entry_point_matches_main_and_exit_codes(tmp_path, capsys):
     src = str(Path(__file__).parents[1] / "src")

@@ -53,6 +53,15 @@ def test_subsets_colex_agrees_with_oracle():
     assert subsets_colex(5, -1) == ()
 
 
+def test_subsets_colex_rejects_a_particle_count_past_the_largest_size():
+    import sys
+
+    n = sys.maxsize + 1
+    with pytest.raises(ValueError, match=f"particle count n has {len(str(n))} digits") as info:
+        subsets_colex(n, 2)
+    assert str(n) not in str(info.value)
+
+
 def test_rank_rejects_out_of_range_element():
     with pytest.raises(ValueError):
         subset_rank((2, 5), 4)

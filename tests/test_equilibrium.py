@@ -139,6 +139,24 @@ def test_solver_rejects_a_kernel_vector_that_does_not_solve_the_system(monkeypat
         solve_nontrivial(f)
 
 
+@pytest.mark.parametrize("r, d, q", [(2, 2, 6), (3, 2, 8)])
+def test_solver_certifies_the_prefix_vector_on_the_full_system(corrupt_prefix_vectors, r, d, q):
+    f = random_force_system(r, d, q, 5, random.Random(71))
+    corrupt_prefix_vectors(r, d)
+    with pytest.raises(ArithmeticError, match="does not solve"):
+        solve_nontrivial(f)
+
+
+@pytest.mark.parametrize("r, d, q", [(2, 2, 6), (3, 2, 8)])
+def test_solver_never_reports_unsolvable_from_the_prefix(monkeypatch, r, d, q):
+    import equidet.equilibrium as equilibrium
+
+    f = random_force_system(r, d, q, 5, random.Random(72))
+    monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: None)
+    with pytest.raises(ArithmeticError, match="no kernel vector"):
+        solve_nontrivial(f)
+
+
 def test_nonzero_determinant_blocks_solutions():
     f = load_tensor(FIXTURE)
     assert det_sr(f.to_configuration()) != 0

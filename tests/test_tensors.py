@@ -49,6 +49,33 @@ def test_force_index_range_checked():
         f.get((1, 2, 3))
 
 
+
+@pytest.mark.parametrize(
+    "build, field",
+    [
+        (lambda n: ForceSystem(n, 1, n), "r"),
+        (lambda n: VectorConfiguration(1, n, n), "d"),
+        (lambda n: CoefficientSystem(n, n), "r"),
+    ],
+)
+def test_arities_and_dimensions_past_the_largest_size_are_rejected_by_field(build, field):
+    import sys
+
+    n = sys.maxsize + 1
+    with pytest.raises(ValueError, match=f"field '{field}' has {len(str(n))} digits") as info:
+        build(n)
+    assert str(n) not in str(info.value)
+    build(3)  # the same shape at a small size is accepted
+
+
+def test_particle_counts_past_the_largest_size_are_stored():
+    # a sparse tensor over any number of particles fits; enumerating them does not
+    import sys
+
+    n = sys.maxsize + 1
+    assert ForceSystem(2, 1, n, {(1, n): (1,)}).get((n, 1)) == (-1,)
+    assert CoefficientSystem(2, n).q == n
+
 def test_force_antisymmetry_exhaustive():
     rng = random.Random(10)
     for r, q in ((2, 5), (3, 6), (4, 6)):
