@@ -74,10 +74,9 @@ def cmd_solve(args) -> int:
     if lam is None:
         print("UNSOLVABLE")
     else:
-        print("SOLVABLE")
-        for key in sorted(lam.canonical, key=lambda t: t[::-1]):
-            print(f"lambda{list(key)} = {lam.canonical[key]}")
-        print("residual = 0 (verified)")
+        keys = sorted(lam.canonical, key=lambda t: t[::-1])
+        lines = [f"lambda{list(key)} = {lam.canonical[key]}" for key in keys]
+        print("\n".join(["SOLVABLE", *lines, "residual = 0 (verified)"]))
     if obj.q == obj.r * obj.d:
         value = det_sr(obj.to_configuration())
         print(f"det = {value}")

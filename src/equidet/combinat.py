@@ -14,6 +14,7 @@ from bisect import bisect_right
 from functools import lru_cache
 from itertools import combinations
 from math import comb
+from operator import lt
 
 
 def check_sorted_tuple(t, n=None):
@@ -24,9 +25,8 @@ def check_sorted_tuple(t, n=None):
     t = tuple(t)
     if t and t[0] < 1:
         raise ValueError(f"indices must be >= 1: {t}")
-    for a, b in zip(t, t[1:]):
-        if a >= b:
-            raise ValueError(f"indices must be strictly increasing: {t}")
+    if not all(map(lt, t, t[1:])):
+        raise ValueError(f"indices must be strictly increasing: {t}")
     if n is not None and t and t[-1] > n:
         raise ValueError(f"index {t[-1]} exceeds ground-set size {n}")
     return t

@@ -101,7 +101,7 @@ class Matrix:
         """Matrix-vector product as a list of exact scalars."""
         if len(vec) != self.cols:
             raise ValueError(f"vector length {len(vec)} does not match {self.cols} columns")
-        return [sum(a * vec[j] for j, a in row.items() if vec[j]) for row in self.sparse]
+        return [sum([a * vec[j] for j, a in row.items() if vec[j]]) for row in self.sparse]
 
 
 def _check_exact(*values):

@@ -14,15 +14,17 @@ A file holds one force system or one configuration:
 Scalars are strings, either decimal integers or "p/q" with a positive
 denominator, written in ASCII digits, so exact values survive any JSON
 parser.  An integer, a numerator or a denominator has at most 4300 digits,
-and so has every JSON integer (r, d, q and the indices).  Index tuples are
+and so has every JSON integer (r, d, q and the indices).  The file loader
+checks this limit on the raw text before decoding: no run of ASCII digits
+anywhere in the file, ignored fields included, may be longer.  Index tuples are
 strictly increasing, 1-based, of length r; duplicates are rejected and
 missing tuples mean the zero vector.  Serialization is canonical: entries
 in colex order, zero vectors omitted, scalars in lowest terms.
 
-The loader checks the document's structure and parses each scalar, then
-builds the tensor through the public constructor, so the entry rule (sorted
-in-range keys, vector length, exact scalars, zero vectors dropped) is applied
-by :mod:`equidet.tensors` alone.
+The loader checks the document's structure and parses each distinct scalar
+string once, then builds the tensor through the public constructor, so the
+entry rule (sorted in-range keys, vector length, exact scalars, zero vectors
+dropped) is applied by :mod:`equidet.tensors` alone.
 """
 
 from __future__ import annotations
@@ -35,6 +37,8 @@ from .tensors import ForceSystem, VectorConfiguration
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # per integer, numerator or denominator
+_DIGITS_TO_ZERO = str.maketrans("123456789", "000000000")
+_TOO_MANY_DIGITS = "0" * (_MAX_DIGITS + 1)
 
 
 def parse_scalar(text) -> int | Fraction:
@@ -51,15 +55,16 @@ def parse_scalar(text) -> int | Fraction:
     return Fraction(int(num), int(den))
 
 
-def _json_int(text: str) -> int:
-    """A JSON integer, held to the same digit limit as a scalar."""
-    if len(text.lstrip("-")) > _MAX_DIGITS:
-        raise ValueError(f"integer of {len(text)} characters exceeds the {_MAX_DIGITS}-digit limit")
-    return int(text)
-
-
 def format_scalar(x) -> str:
     return str(Fraction(x))
+
+
+class _ScalarMemo(dict):
+    """Each distinct scalar string of a document, parsed once on first use."""
+
+    def __missing__(self, text):
+        value = self[text] = parse_scalar(text)
+        return value
 
 
 def tensor_from_json(doc):
@@ -79,6 +84,7 @@ def tensor_from_json(doc):
     if not isinstance(doc["entries"], list):
         raise ValueError("entries must be a list")
     entries = {}
+    scalars = _ScalarMemo()
     for item in doc["entries"]:
         if not isinstance(item, dict) or "idx" not in item or "vec" not in item:
             raise ValueError(f"bad entry {item!r}: expected {{'idx': ..., 'vec': ...}}")
@@ -95,7 +101,7 @@ def tensor_from_json(doc):
         vec = item["vec"]
         if not isinstance(vec, list) or len(vec) != d:
             raise ValueError(f"bad vec for idx {key}: expected {d} scalars")
-        entries[key] = tuple(parse_scalar(x) for x in vec)
+        entries[key] = tuple([scalars[x] if type(x) is str else parse_scalar(x) for x in vec])
     # tuple validity (increasing, within 1..q) is enforced by the constructors
     if kind == "forces":
         return ForceSystem(r, d, q, entries)
@@ -125,10 +131,15 @@ def tensor_to_json(obj) -> dict:
 
 def load_tensor(path):
     with open(path, encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_int=_json_int)
-        except (json.JSONDecodeError, RecursionError) as exc:
-            raise ValueError(f"{path}: not valid JSON ({exc})") from exc
+        text = fh.read()
+    # linear in the file, unlike a regex search for the run, which rescans
+    # a long digit run from each of its positions
+    if _TOO_MANY_DIGITS in text.translate(_DIGITS_TO_ZERO):
+        raise ValueError(f"{path}: a run of over {_MAX_DIGITS} digits exceeds the {_MAX_DIGITS}-digit limit")
+    try:
+        doc = json.loads(text)
+    except (json.JSONDecodeError, RecursionError) as exc:
+        raise ValueError(f"{path}: not valid JSON ({exc})") from exc
     return tensor_from_json(doc)
 
 

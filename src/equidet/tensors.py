@@ -74,7 +74,7 @@ def _vector_entries(r, d, q, entries):
         if len(vec) != d:
             raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
         _check_exact(*vec)
-        if any(x != 0 for x in vec):
+        if any(vec):
             out[key] = vec
     return out
 

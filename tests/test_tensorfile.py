@@ -1,8 +1,9 @@
 import json
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from equidet import ForceSystem, VectorConfiguration, tensor_from_json, tensor_to_json
 from equidet.tensorfile import dump_tensor, format_scalar, load_tensor, parse_scalar
@@ -63,6 +64,46 @@ def test_load_holds_json_integers_to_the_digit_limit(tmp_path):
         load_tensor(path)
 
 
+LONG_RUN = "1" * 4301
+# q is covered above.  The last case is the one the raw-text check adds: a
+# field the loader ignores may not hold a longer digit run either, even
+# inside a string.
+LONG_RUN_DOCUMENTS = {
+    "idx": '{"r": 1, "d": 1, "q": 2, "kind": "forces", "entries": [{"idx": [%s], "vec": ["1"]}]}' % LONG_RUN,
+    "scalar": '{"r": 1, "d": 1, "q": 2, "kind": "forces", "entries": [{"idx": [1], "vec": ["%s"]}]}' % LONG_RUN,
+    "denominator": '{"r": 1, "d": 1, "q": 2, "kind": "forces", "entries": [{"idx": [1], "vec": ["1/%s"]}]}'
+    % LONG_RUN,
+    "ignored string": '{"r": 1, "d": 1, "q": 2, "kind": "forces", "entries": [], "note": "x%sx"}' % LONG_RUN,
+}
+
+
+@pytest.mark.parametrize("where", sorted(LONG_RUN_DOCUMENTS))
+def test_load_rejects_a_4301_digit_run_anywhere(tmp_path, where):
+    path = tmp_path / "long.json"
+    path.write_text(LONG_RUN_DOCUMENTS[where], encoding="utf-8")
+    with pytest.raises(ValueError, match="4300-digit limit") as info:
+        load_tensor(path)
+    assert str(path) in str(info.value)
+    # one digit fewer and the same document is no longer rejected for its length
+    path.write_text(LONG_RUN_DOCUMENTS[where].replace(LONG_RUN, LONG_RUN[1:]), encoding="utf-8")
+    try:
+        load_tensor(path)
+    except ValueError as exc:
+        assert "4300-digit limit" not in str(exc)
+
+
+def test_load_accepts_many_4300_digit_scalars(tmp_path):
+    # a run of 4300 digits is allowed, and checking many of them stays linear
+    # in the file (a regex search for a longer run rescans each run from every
+    # digit, about 25 ms per run)
+    scalar = "9" * 4300
+    entries = [{"idx": [i], "vec": [scalar, "-" + scalar, "1/" + scalar]} for i in range(1, 201)]
+    path = tmp_path / "wide.json"
+    path.write_text(json.dumps({"r": 1, "d": 3, "q": 200, "kind": "forces", "entries": entries}), encoding="utf-8")
+    f = load_tensor(path)
+    assert f.get((200,)) == (10**4300 - 1, 1 - 10**4300, Fraction(1, 10**4300 - 1))
+
+
 def test_parse_scalar_accepts_4300_digits():
     assert parse_scalar("-" + "9" * 4300) == -(10**4300 - 1)
     assert parse_scalar("1/" + "1" * 4300) == Fraction(1, int("1" * 4300))
@@ -119,6 +160,9 @@ def test_roundtrip_is_canonical_idempotent():
         lambda d: d["entries"].append({"idx": [1, 3], "vec": ["1", {"2": 2}]}),  # object scalar
         # a bare number equal to a scalar string parsed earlier in the same file
         lambda d: d["entries"].extend([{"idx": [1, 3], "vec": ["2", "1"]}, {"idx": [2, 3], "vec": ["1", 2]}]),
+        # a list or an object holding a scalar string parsed earlier in the same file
+        lambda d: d["entries"].extend([{"idx": [1, 3], "vec": ["2", "1"]}, {"idx": [2, 3], "vec": ["1", ["2"]]}]),
+        lambda d: d["entries"].extend([{"idx": [1, 3], "vec": ["2", "1"]}, {"idx": [2, 3], "vec": [{"2": "2"}, "1"]}]),
         lambda d: d.update(r=3, q=2, entries=[]),  # q < r, nothing else to reject
     ],
 )
@@ -173,3 +217,53 @@ def test_field_order_irrelevant(tmp_path):
     )
     v = load_tensor(path)
     assert v.get((1, 2)) == (1, 2)
+
+
+def reference_load(path):
+    """The loader's contract spelled out: decode, parse every scalar on its
+    own, and build through the public constructor."""
+    with open(path, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    entries = {tuple(e["idx"]): tuple(parse_scalar(x) for x in e["vec"]) for e in doc["entries"]}
+    cls = ForceSystem if doc["kind"] == "forces" else VectorConfiguration
+    return cls(doc["r"], doc["d"], doc["q"], entries)
+
+
+# few distinct strings, so most documents repeat them; zeros in three spellings
+scalar_strings = st.one_of(
+    st.sampled_from(["0", "-0", "0/7", "1", "-1", "2/4", "-3/6", "5/1", "-5"]),
+    st.integers(-(10**30), 10**30).map(str),
+    st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+)
+
+
+@st.composite
+def valid_documents(draw):
+    r, d = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    q = draw(st.integers(r, r + 3))
+    keys = draw(st.lists(st.sampled_from(list(combinations(range(1, q + 1), r))), unique=True, max_size=12))
+    vectors = st.lists(scalar_strings, min_size=d, max_size=d)
+    return {
+        "r": r,
+        "d": d,
+        "q": q,
+        "kind": draw(st.sampled_from(["forces", "configuration"])),
+        "entries": [{"idx": list(key), "vec": draw(vectors)} for key in keys],
+    }
+
+
+def stored(obj):
+    return obj.canonical if isinstance(obj, ForceSystem) else obj.entries
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(valid_documents())
+def test_load_matches_the_reference_loader(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    got, want = load_tensor(path), reference_load(path)
+    assert type(got) is type(want)
+    assert got == want
+    assert {key: [type(x) for x in vec] for key, vec in stored(got).items()} == {
+        key: [type(x) for x in vec] for key, vec in stored(want).items()
+    }
