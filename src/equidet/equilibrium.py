@@ -14,8 +14,7 @@ prefix system always has a kernel vector, and padded with zeros it is the
 full system's first kernel vector.  Every answer is still checked on the full
 matrix, and "no solution" only ever comes from eliminating the full system
 (k = q when q <= r*d + 1).  The reduced system (equations avoiding particle q)
-is built alongside and its agreement with the full one is checked, not
-assumed.
+is the full one's leading rows; its agreement with it is checked by rank.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from fractions import Fraction
 from math import comb
 
 from . import detmap
-from .exact import Matrix, kernel_basis, kernel_vector
+from .exact import Matrix, kernel_vector, rank_exact
 from .tensors import CoefficientSystem, ForceSystem
 
 
@@ -40,10 +39,14 @@ class EquilibriumSystem:
     col_labels: tuple  # r-tuples
 
 
-def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
-    """All per-tuple force-balance equations for ``f``, full and reduced."""
+def _check_forces(f) -> None:
     if not isinstance(f, ForceSystem):
         raise TypeError(f"equilibrium system needs a ForceSystem, got {type(f).__name__}")
+
+
+def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
+    """All per-tuple force-balance equations for ``f``, full and reduced."""
+    _check_forces(f)
     r, d, q = f.r, f.d, f.q
     full = detmap._incidence_rows(f.canonical, r, d, q, q, detmap._order_sign)
     # colex order lists the tuples avoiding q first
@@ -119,6 +122,8 @@ def row_dependence_holds(f: ForceSystem) -> bool:
 
 @dataclass(frozen=True)
 class ConsistencyReport:
+    """``kernel_dim`` is the full system's column count minus its rank."""
+
     det_value: Fraction
     kernel_dim: int
     consistent: bool
@@ -126,26 +131,20 @@ class ConsistencyReport:
 
 
 def theorem_consistency(f: ForceSystem) -> ConsistencyReport:
-    """Cross-check the determinant criterion against direct kernel computation.
+    """Cross-check the determinant criterion against the full system's rank.
 
-    Requires q = r*d, which :func:`detmap.det_sr` checks (``ValueError``).
-    ``consistent`` records whether (determinant == 0) coincides with the full
-    system having a nontrivial kernel; ``reduced_matches_full`` whether
-    dropping the particle-q equations changed nothing (equal kernel
-    dimensions, i.e. equal ranks since both matrices have the same columns,
-    and every reduced-kernel vector solving the full system).
+    q = r*d is checked first, by :func:`detmap.det_sr` (``ValueError``).
+    ``consistent``: (det == 0) == (rank < columns).  ``reduced_matches_full``:
+    the reduced rows lead the full matrix and have its rank, hence its kernel.
     """
-    system = build_equilibrium_system(f)
+    _check_forces(f)
     det_value = detmap.det_sr(f.to_configuration())  # also the q = r*d check
-    kernel = kernel_basis(system.full_matrix)
-    consistent = (det_value == 0) == (len(kernel) > 0)
-    reduced_kernel = kernel_basis(system.reduced_matrix)
-    reduced_ok = len(kernel) == len(reduced_kernel) and all(
-        not any(system.full_matrix.mul_vec(vec)) for vec in reduced_kernel
-    )
+    system = build_equilibrium_system(f)
+    rank = rank_exact(system.full_matrix)
+    kernel_dim = system.full_matrix.cols - rank
     return ConsistencyReport(
         det_value=det_value,
-        kernel_dim=len(kernel),
-        consistent=consistent,
-        reduced_matches_full=reduced_ok,
+        kernel_dim=kernel_dim,
+        consistent=(det_value == 0) == (kernel_dim > 0),
+        reduced_matches_full=rank_exact(system.reduced_matrix) == rank,
     )
