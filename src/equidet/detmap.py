@@ -144,6 +144,12 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
     :class:`ForceSystem` (raw antisymmetric equations).  The identities hold
     for every input; a False return means the sign conventions were broken.
     """
+    if not isinstance(v, (VectorConfiguration, ForceSystem)):
+        raise TypeError(
+            f"dependence relations need a VectorConfiguration or a ForceSystem, got {type(v).__name__}"
+        )
+    if not isinstance(lam, CoefficientSystem):
+        raise TypeError(f"dependence relations need a CoefficientSystem, got {type(lam).__name__}")
     if lam.r != v.r or lam.q != v.q:
         raise ValueError(
             f"arity mismatch: coefficients are (r={lam.r}, q={lam.q}), input is (r={v.r}, q={v.q})"

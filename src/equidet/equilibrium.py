@@ -14,7 +14,9 @@ prefix system always has a kernel vector, and padded with zeros it is the
 full system's first kernel vector.  Every answer is still checked on the full
 matrix, and "no solution" only ever comes from eliminating the full system
 (k = q when q <= r*d + 1).  The reduced system (equations avoiding particle q)
-is the full one's leading rows; its agreement with it is checked by rank.
+is the full one's leading rows; its agreement with it is checked by rank, and
+the full rows are eliminated only when the reduced ones fall short of full
+column rank.
 """
 
 from __future__ import annotations
@@ -99,6 +101,9 @@ def solve_nontrivial(f: ForceSystem):
 def residual(f: ForceSystem, lam: CoefficientSystem) -> Fraction:
     """Largest absolute coordinate over all equations evaluated at ``lam``;
     exactly zero iff ``lam`` solves the system."""
+    _check_forces(f)
+    if not isinstance(lam, CoefficientSystem):
+        raise TypeError(f"residual needs a CoefficientSystem, got {type(lam).__name__}")
     if lam.r != f.r or lam.q != f.q:
         raise ValueError(
             f"arity mismatch: coefficients are (r={lam.r}, q={lam.q}), forces are (r={f.r}, q={f.q})"
@@ -136,15 +141,19 @@ def theorem_consistency(f: ForceSystem) -> ConsistencyReport:
     q = r*d is checked first, by :func:`detmap.det_sr` (``ValueError``).
     ``consistent``: (det == 0) == (rank < columns).  ``reduced_matches_full``:
     the reduced rows lead the full matrix and have its rank, hence its kernel.
+    Being rows of the full matrix, they bound its rank from below, so the full
+    matrix is eliminated only when their rank is short of the column count.
     """
     _check_forces(f)
     det_value = detmap.det_sr(f.to_configuration())  # also the q = r*d check
     system = build_equilibrium_system(f)
-    rank = rank_exact(system.full_matrix)
-    kernel_dim = system.full_matrix.cols - rank
+    cols = system.full_matrix.cols
+    reduced_rank = rank_exact(system.reduced_matrix)
+    rank = cols if reduced_rank == cols else rank_exact(system.full_matrix)
+    kernel_dim = cols - rank
     return ConsistencyReport(
         det_value=det_value,
         kernel_dim=kernel_dim,
         consistent=(det_value == 0) == (kernel_dim > 0),
-        reduced_matches_full=rank_exact(system.reduced_matrix) == rank,
+        reduced_matches_full=reduced_rank == rank,
     )

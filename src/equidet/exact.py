@@ -18,13 +18,14 @@ and a pivot row is brought up to date once as x*prev // t.  The Sylvester
 identity makes both divisions exact, and every row equals what the dense
 pass computes.
 
-Callers differ only in the order columns are taken.  Kernels and rank go left
-to right, so the free columns, and with them the kernel basis, are those of
-the ordinary echelon form.  A determinant does not depend on the order, so
-``det_exact`` takes the remaining column with the fewest active rows
-(Markowitz), which keeps fill-in low on the sparse square systems, and
-multiplies in the signs of the row and column orders.  Either way the pivot
-row is the candidate with the fewest nonzeros, lowest index first.
+Callers differ only in the order columns are taken.  Kernels go left to
+right, so the free columns, and with them the kernel basis, are those of the
+ordinary echelon form.  Neither a determinant nor a rank depends on the
+order, so ``det_exact`` and ``rank_exact`` take the remaining column with the
+fewest active rows (Markowitz), which keeps fill-in low on the sparse
+systems; ``det_exact`` multiplies in the signs of the row and column orders.
+Either way the pivot row is the candidate with the fewest nonzeros, lowest
+index first.
 
 Kernel vectors come from an integer back-substitution over each pivot row's
 nonzeros: the free coordinate is set to the last Bareiss pivot, so by
@@ -274,4 +275,4 @@ def kernel_vector(m: Matrix):
 
 def rank_exact(m: Matrix) -> int:
     """Exact rank; always equals cols minus the kernel dimension."""
-    return len(_eliminate(_sparse_rows(m)[0], m.cols)[1])
+    return len(_eliminate(_sparse_rows(m)[0], m.cols, fewest_rows_first=True)[1])

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import os
 import random
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
@@ -151,16 +152,37 @@ def sl_transform(v: VectorConfiguration, g: Matrix) -> VectorConfiguration:
     return VectorConfiguration(v.r, v.d, v.q, entries)
 
 
+def _uniform_ints(n: int, bound: int, rng):
+    """``[rng.randint(-bound, bound) for _ in range(n)]``: the same values,
+    leaving ``rng`` in the same state, drawn in a few ``getrandbits`` calls.
+
+    ``randint`` takes the top k = (2*bound + 1).bit_length() bits of one
+    32-bit Mersenne Twister output and draws again while they are out of
+    range.  ``getrandbits(32 * m)`` packs the next m outputs, first output
+    least significant, so reading them back as native words and drawing as
+    many again as were rejected reproduces that sequence.  Widths above 32
+    bits, and empty ranges, go through ``randint`` itself.
+    """
+    width = 2 * bound + 1
+    k = width.bit_length()
+    if bound < 0 or k > 32:
+        return [rng.randint(-bound, bound) for _ in range(n)]
+    shift = 32 - k
+    limit = width << shift
+    values = []
+    while len(values) < n:
+        m = n - len(values)
+        words = memoryview(rng.getrandbits(32 * m).to_bytes(4 * m, sys.byteorder)).cast("I")
+        values += [(w >> shift) - bound for w in words if w < limit]
+    return values
+
+
 def _random_vectors(r: int, d: int, q: int, bound: int, rng):
     """A d-vector uniform in [-bound, bound]^d drawn for every sorted r-tuple
     in colex order; the nonzero ones, by tuple."""
-    randint = rng.randint
-    entries = {}
-    for key in subsets_colex(q, r):
-        vec = tuple([randint(-bound, bound) for _ in range(d)])
-        if any(vec):
-            entries[key] = vec
-    return entries
+    keys = subsets_colex(q, r)
+    vectors = zip(*[iter(_uniform_ints(d * len(keys), bound, rng))] * d)
+    return {key: vec for key, vec in zip(keys, vectors) if any(vec)}
 
 
 def random_configuration(r: int, d: int, bound: int, rng) -> VectorConfiguration:
@@ -179,11 +201,9 @@ def random_force_system(r: int, d: int, q: int, bound: int, rng) -> ForceSystem:
 def random_coefficients(r: int, q: int, bound: int, rng) -> CoefficientSystem:
     """Coefficient family with random integer canonical values in [-bound, bound]."""
     _check_coefficient_shape(r, q)
-    canonical = {}
-    for key in subsets_colex(q, r):
-        value = rng.randint(-bound, bound)
-        if value:
-            canonical[key] = value
+    keys = subsets_colex(q, r)
+    values = _uniform_ints(len(keys), bound, rng)
+    canonical = {key: value for key, value in zip(keys, values) if value}
     return CoefficientSystem._from_checked(r, q, canonical)
 
 

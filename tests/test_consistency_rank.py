@@ -112,3 +112,42 @@ def test_square_count_is_checked_before_the_full_build(monkeypatch, d, q):
     monkeypatch.setattr(equilibrium, "build_equilibrium_system", unreachable)
     with pytest.raises(ValueError, match=r"q = r\*d"):
         theorem_consistency(ForceSystem(2, d, q))
+
+
+@pytest.fixture
+def rank_calls(monkeypatch):
+    """The matrices ``theorem_consistency`` passes to ``rank_exact``, in order."""
+    seen = []
+    rank = equilibrium.rank_exact
+
+    def counted(m):
+        seen.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(equilibrium, "rank_exact", counted)
+    return seen
+
+
+def test_full_rank_reduced_rows_skip_the_full_elimination(rank_calls):
+    f = random_force_system(3, 2, 6, 5, random.Random(142))
+    report = theorem_consistency(f)
+    assert report.det_value != 0 and report.kernel_dim == 0
+    system = equilibrium.build_equilibrium_system(f)
+    assert rank_calls == [system.reduced_matrix]
+
+
+def test_singular_system_eliminates_both_matrices(rank_calls):
+    rng = random.Random(143)
+    f = cross_product_forces([tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(9)])
+    report = theorem_consistency(f)
+    assert report.det_value == 0 and report.kernel_dim > 0
+    system = equilibrium.build_equilibrium_system(f)
+    assert rank_calls == [system.reduced_matrix, system.full_matrix]
+
+
+@pytest.mark.parametrize("r, d", [(2, 2), (3, 2)])
+def test_lost_reduced_rank_eliminates_both_matrices(halved_reduced_rows, rank_calls, r, d):
+    f = random_force_system(r, d, r * d, 5, random.Random(141))
+    assert not theorem_consistency(f).reduced_matches_full
+    system = equilibrium.build_equilibrium_system(f)
+    assert rank_calls == [system.reduced_matrix, system.full_matrix]

@@ -11,6 +11,7 @@ from equidet import (
     ForceSystem,
     build_equilibrium_system,
     build_system_matrix,
+    check_dependence_relations,
     cross_product_forces,
     det_sr,
     kernel_basis,
@@ -279,8 +280,12 @@ def test_solution_coefficients_are_symmetric():
         (build_equilibrium_system, "VectorConfiguration"),
         (solve_nontrivial, "VectorConfiguration"),
         (lambda cfg: residual(cfg, CoefficientSystem(2, 4)), "VectorConfiguration"),
+        (lambda f: residual(f, f), "ForceSystem"),
         (row_dependence_holds, "VectorConfiguration"),
         (theorem_consistency, "VectorConfiguration"),
+        (lambda cfg: check_dependence_relations(cfg, {"r": 2}), "dict"),
+        (lambda f: check_dependence_relations(f, f), "ForceSystem"),
+        (lambda cfg: check_dependence_relations(CoefficientSystem(2, 4), CoefficientSystem(2, 4)), "CoefficientSystem"),
     ],
     ids=[
         "det_sr",
@@ -288,8 +293,12 @@ def test_solution_coefficients_are_symmetric():
         "build_equilibrium_system",
         "solve_nontrivial",
         "residual",
+        "residual_lam",
         "row_dependence_holds",
         "theorem_consistency",
+        "check_dependence_relations_lam_dict",
+        "check_dependence_relations_lam_forces",
+        "check_dependence_relations_v",
     ],
 )
 def test_wrong_tensor_kind_raises_type_error(call, given):

@@ -1,11 +1,22 @@
 import random
 from decimal import Decimal
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
 import pytest
 
-from equidet import Matrix, det_exact, kernel_basis, kernel_vector, permutation_sign, rank_exact
+from equidet import (
+    ForceSystem,
+    Matrix,
+    build_equilibrium_system,
+    det_exact,
+    kernel_basis,
+    kernel_vector,
+    permutation_sign,
+    random_force_system,
+    rank_exact,
+)
 from equidet.exact import _free_vector
 
 
@@ -217,14 +228,35 @@ def test_back_substitution_rejects_inexact_division():
         _free_vector([{0: 2, 1: 1}, {1: 3, 2: 1}], [0, 1], 2, 3)
 
 
-def test_kernel_vectors_satisfy_system_exactly():
+def _kernel_inputs():
     rng = random.Random(5)
     for _ in range(60):
         rows_n = rng.randint(1, 6)
         cols_n = rng.randint(1, 6)
-        m = Matrix([[rng.randint(-4, 4) for _ in range(cols_n)] for _ in range(rows_n)])
+        yield Matrix([[rng.randint(-4, 4) for _ in range(cols_n)] for _ in range(rows_n)])
+    # sparse rectangular rows with Fraction entries
+    for _ in range(40):
+        yield Matrix(_sparse_entries(rng, rng.randint(1, 14), rng.randint(1, 14), fractions=True))
+    # 30x20 equilibrium systems at (r, d) = (3, 2), whose rows are dependent,
+    # of full column rank or not; sparse forces of bound 1 leave larger kernels
+    for _ in range(3):
+        yield build_equilibrium_system(random_force_system(3, 2, 6, 5, rng)).full_matrix
+    for density in (1.0, 0.6, 0.4, 0.3):
+        for _ in range(3):
+            forces = ForceSystem(3, 2, 6, {
+                t: (rng.randint(-1, 1), rng.randint(-1, 1))
+                for t in combinations(range(1, 7), 3)
+                if rng.random() < density
+            })
+            yield build_equilibrium_system(forces).full_matrix
+
+
+def test_kernel_vectors_satisfy_system_exactly():
+    # rank_exact takes the fewest-rows column order, kernel_basis goes left
+    # to right; the two orders must agree on the rank
+    for m in _kernel_inputs():
         basis = kernel_basis(m)
-        assert rank_exact(m) + len(basis) == cols_n
+        assert rank_exact(m) + len(basis) == m.cols
         for v in basis:
             assert any(v)
             assert all(x == 0 for x in m.mul_vec(v))

@@ -257,3 +257,44 @@ def test_parallel_search_starts_at_most_one_worker_per_trial_and_cpu(monkeypatch
     assert started == [workers]
     assert main(argv) == 0
     assert capsys.readouterr().out == parallel_out
+
+
+@pytest.mark.parametrize("bound", [1, 5, 100, 2**20, 2**33])
+def test_batched_draws_match_randint(bound):
+    # same values and same generator state as one randint per entry; 2**33
+    # is wider than one 32-bit output and goes through randint itself
+    for seed in range(200):
+        n = seed % 47
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want = [want_rng.randint(-bound, bound) for _ in range(n)]
+        assert witnesses._uniform_ints(n, bound, got_rng) == want
+        assert got_rng.getstate() == want_rng.getstate()
+
+
+def test_generators_draw_what_randint_draws():
+    def vectors(r, d, q, bound, rng):
+        entries = {}
+        for key in subsets_colex(q, r):
+            vec = tuple(rng.randint(-bound, bound) for _ in range(d))
+            if any(vec):
+                entries[key] = vec
+        return entries
+
+    for seed in range(40):
+        r, d = 2 + seed % 2, 1 + seed % 3
+        q, bound = r * d + seed % 2, 1 + seed % 6
+        want_rng, got_rng = random.Random(seed), random.Random(seed)
+        want_forces = vectors(r, d, q, bound, want_rng)
+        want_config = vectors(r, d, r * d, bound, want_rng)
+        want_lam = {
+            key: value
+            for key in subsets_colex(q, r)
+            if (value := want_rng.randint(-bound, bound))
+        }
+        assert witnesses.random_force_system(r, d, q, bound, got_rng).canonical == want_forces
+        assert witnesses.random_configuration(r, d, bound, got_rng).entries == want_config
+        assert witnesses.random_coefficients(r, q, bound, got_rng).canonical == want_lam
+        assert got_rng.getstate() == want_rng.getstate()
+    # an empty range is refused as randint refuses it, not drawn from forever
+    with pytest.raises(ValueError):
+        witnesses.random_force_system(2, 1, 2, -1, random.Random(0))
