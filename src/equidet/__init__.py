@@ -39,6 +39,7 @@ from .witnesses import (
     random_configuration,
     random_force_system,
     random_unimodular,
+    simplex_forces,
     sl_transform,
     wedge_forces,
     witness_search,
@@ -74,6 +75,7 @@ __all__ = [
     "rank_exact",
     "residual",
     "row_dependence_holds",
+    "simplex_forces",
     "sl_transform",
     "solve_nontrivial",
     "subset_rank",

@@ -260,8 +260,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    # printed integers are computed and may pass the default 4300-digit str() limit
-    if hasattr(sys, "set_int_max_str_digits"):
+    # printed integers may pass the 4300-digit str() limit: lift it for this call only
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if limit:
         sys.set_int_max_str_digits(0)
     try:
         # looked up at call time, so a rebound cmd_* (monkeypatch, tracer wrapper) runs
@@ -272,6 +273,9 @@ def main(argv=None) -> int:
     except ArithmeticError as exc:  # an exact result failed its own check
         print(f"internal error: {exc}", file=sys.stderr)
         return 1
+    finally:
+        if limit:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

@@ -1,5 +1,6 @@
-"""Worked-example generators, special-linear transforms, and seeded random
-search for configurations with nonzero system determinant.
+"""Worked examples, all of them simplex forces (point differences, cross
+products, wedge sums), special-linear transforms, and seeded random search
+for configurations with nonzero system determinant.
 
 Everything random is driven by explicit 64-bit seeds through
 ``random.Random``; identical arguments always reproduce identical output,
@@ -14,10 +15,11 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb
+from itertools import combinations, permutations
+from math import comb, prod
+from operator import getitem
 
-from .combinat import subsets_colex
+from .combinat import permutation_sign, subsets_colex
 from .detmap import det_sr
 from .exact import Matrix, kernel_basis
 from .tensors import (
@@ -29,75 +31,57 @@ from .tensors import (
 )
 
 
-def _cross(u, w):
-    return (
-        u[1] * w[2] - u[2] * w[1],
-        u[2] * w[0] - u[0] * w[2],
-        u[0] * w[1] - u[1] * w[0],
-    )
+def simplex_forces(r: int, points) -> ForceSystem:
+    """r-particle forces from positions in s-space: F at (i_1, ..., i_r) is
+    (p_i2 - p_i1) ^ ... ^ (p_ir - p_i1) in the colex basis of (r-1)-sets of
+    coordinates, so d = C(s, r-1) and each coordinate is an (r-1)-minor."""
+    points = [tuple(p) for p in points]
+    if r < 2 or len(points) < r:
+        raise ValueError(f"need r >= 2 and at least r points, got r={r} and {len(points)} points")
+    s = len(points[0])
+    if any(len(p) != s for p in points):
+        raise ValueError("points must all have the same dimension")
+    # Leibniz terms of each minor: a sign and the column read from each difference row
+    minors = [[(permutation_sign(perm), [cols[k] - 1 for k in perm])
+               for perm in permutations(range(r - 1))] for cols in subsets_colex(s, r - 1)]
+    canonical = {}
+    for key in subsets_colex(len(points), r):
+        base = points[key[0] - 1]
+        rows = [[a - b for a, b in zip(points[i - 1], base)] for i in key[1:]]
+        canonical[key] = [sum(sign * prod(map(getitem, rows, cols)) for sign, cols in terms)
+                          for terms in minors]
+    return ForceSystem(r, comb(s, r - 1), len(points), canonical)
 
 
 def cross_product_forces(points) -> ForceSystem:
-    """Triple-interaction forces in 3-space from particle positions:
-    F at (i, j, k) is (p_j - p_i) x (p_k - p_i)."""
+    """Triple forces (p_j - p_i) x (p_k - p_i) in 3-space: the simplex forces
+    with coordinates (w12, w13, w23) reordered to (w23, -w13, w12)."""
     points = [tuple(p) for p in points]
     if any(len(p) != 3 for p in points):
         raise ValueError("cross-product forces need points in 3-space")
-    q = len(points)
-    if q < 3:
-        raise ValueError(f"need at least 3 points, got {q}")
-    canonical = {}
-    for key in subsets_colex(q, 3):
-        i, j, k = key
-        pi, pj, pk = points[i - 1], points[j - 1], points[k - 1]
-        u = tuple(a - b for a, b in zip(pj, pi))
-        w = tuple(a - b for a, b in zip(pk, pi))
-        canonical[key] = _cross(u, w)
-    return ForceSystem(3, 3, q, canonical)
-
-
-def _wedge(u, w, pairs):
-    return tuple(u[a - 1] * w[b - 1] - u[b - 1] * w[a - 1] for a, b in pairs)
+    f = simplex_forces(3, points)
+    canonical = {key: (w23, -w13, w12) for key, (w12, w13, w23) in f.canonical.items()}
+    return ForceSystem._from_checked(3, 3, f.q, canonical)
 
 
 def wedge_forces(s: int, vectors) -> ForceSystem:
-    """Triple-interaction forces valued in the C(s,2)-dimensional space of
-    wedge products: F at (i, j, k) is vi^vj + vj^vk + vk^vi, written in the
-    colex-ordered basis of coordinate pairs."""
+    """Triple forces vi^vj + vj^vk + vk^vi = (vj - vi)^(vk - vi) in the
+    C(s,2)-dimensional space of wedge products, from 3*C(s,2) vectors."""
     if s < 3:
         raise ValueError(f"need source dimension >= 3, got {s}")
-    d = comb(s, 2)
-    q = 3 * d
+    q = 3 * comb(s, 2)
     vectors = [tuple(v) for v in vectors]
-    if len(vectors) != q:
-        raise ValueError(f"need exactly 3*C({s},2) = {q} vectors, got {len(vectors)}")
-    if any(len(v) != s for v in vectors):
-        raise ValueError(f"vectors must have length {s}")
-    pairs = subsets_colex(s, 2)
-    canonical = {}
-    for key in subsets_colex(q, 3):
-        i, j, k = key
-        vi, vj, vk = vectors[i - 1], vectors[j - 1], vectors[k - 1]
-        parts = (_wedge(vi, vj, pairs), _wedge(vj, vk, pairs), _wedge(vk, vi, pairs))
-        canonical[key] = tuple(sum(col) for col in zip(*parts))
-    return ForceSystem(3, d, q, canonical)
+    if len(vectors) != q or any(len(v) != s for v in vectors):
+        raise ValueError(f"need exactly 3*C({s},2) = {q} vectors of length {s}")
+    return simplex_forces(3, vectors)
 
 
 def difference_configuration(points) -> VectorConfiguration:
-    """Pair configuration v at (i, j) = p_j - p_i from exactly 2d points in d-space."""
-    points = [tuple(p) for p in points]
-    if not points:
-        raise ValueError("no points given")
-    d = len(points[0])
-    if any(len(p) != d for p in points):
-        raise ValueError("points must all have the same dimension")
-    if len(points) != 2 * d:
-        raise ValueError(f"need exactly 2d = {2 * d} points, got {len(points)}")
-    entries = {}
-    for key in subsets_colex(2 * d, 2):
-        i, j = key
-        entries[key] = tuple(a - b for a, b in zip(points[j - 1], points[i - 1]))
-    return VectorConfiguration(2, d, 2 * d, entries)
+    """Pair configuration v at (i, j) = p_j - p_i, the simplex forces of 2d points in d-space."""
+    f = simplex_forces(2, points)
+    if f.q != 2 * f.d:
+        raise ValueError(f"need exactly 2d = {2 * f.d} points, got {f.q}")
+    return VectorConfiguration._from_checked(2, f.d, f.q, f.canonical)
 
 
 def affine_dependence_lambda(vectors):

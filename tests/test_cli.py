@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -171,10 +172,39 @@ def test_values_over_4300_digits_print(tmp_path, capsys):
     dump_tensor(ForceSystem(2, 2, 4, canonical), path)
     expected = det_sr(load_tensor(path).to_configuration())
     assert abs(expected.numerator) > 10**4300
+    # main restores the caller's digit limit, so this conversion lifts its own
+    text = str_past_digit_limit(expected)
     assert main(["det", "--input", str(path)]) == 0
-    assert capsys.readouterr().out.splitlines()[0] == str(expected)
+    assert capsys.readouterr().out.splitlines()[0] == text
     assert main(["solve", "--input", str(path)]) == 0
-    assert f"det = {expected}" in capsys.readouterr().out.splitlines()
+    assert f"det = {text}" in capsys.readouterr().out.splitlines()
+
+
+def str_past_digit_limit(value):
+    """str(value) with the interpreter's int digit limit lifted for the call only."""
+    if not hasattr(sys, "get_int_max_str_digits"):
+        return str(value)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no int digit limit")
+@pytest.mark.parametrize("argv", [
+    ["example", "cross-product", "--output", "{tmp}/cross.json"],
+    ["det", "--input", "{tmp}/missing.json"],  # exits 2
+])
+def test_main_restores_the_callers_digit_limit(tmp_path, argv):
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(5000)
+    try:
+        main([arg.format(tmp=tmp_path) for arg in argv])
+        assert sys.get_int_max_str_digits() == 5000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 @pytest.mark.parametrize("scalar", ["1" * 5000, "1/" + "1" * 5000])
@@ -468,6 +498,25 @@ def test_readme_examples_match_recorded_output(tmp_path, monkeypatch, capsys):
         assert main(case["argv"]) == case["exit_code"], case["argv"]
         assert capsys.readouterr().out == case["stdout"], case["argv"]
 
+
+
+EXAMPLE_GOLDEN = Path(__file__).parent / "fixtures" / "example_golden.json"
+
+
+@pytest.mark.parametrize(
+    "case",
+    json.loads(EXAMPLE_GOLDEN.read_text(encoding="utf-8")),
+    ids=lambda case: " ".join(case["argv"][1:2] + case["argv"][4:]),
+)
+def test_example_files_match_recorded_digests(case, tmp_path, monkeypatch, capsys):
+    # exit code, stdout and the sha256 of the written file, recorded from the
+    # program whose generators wrote out each force formula by hand
+    monkeypatch.chdir(tmp_path)
+    assert main(case["argv"]) == case["exit_code"]
+    assert capsys.readouterr().out == case["stdout"]
+    written = tmp_path / "out.json"
+    digest = hashlib.sha256(written.read_bytes()).hexdigest() if written.exists() else None
+    assert digest == case["sha256"]
 
 
 SOLVE_GOLDEN = Path(__file__).parent / "fixtures" / "solve_overdet_golden.json"

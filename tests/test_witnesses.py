@@ -15,6 +15,7 @@ from equidet import (
     random_configuration,
     random_unimodular,
     residual,
+    simplex_forces,
     sl_transform,
     solve_nontrivial,
     subsets_colex,
@@ -23,7 +24,6 @@ from equidet import (
 )
 from equidet import witnesses
 from equidet.cli import main
-from equidet.witnesses import _wedge
 
 
 def test_cross_product_unit_points():
@@ -87,11 +87,11 @@ def test_affine_dependence_fails_when_underdetermined():
 
 
 def test_wedge_is_alternating():
-    pairs = subsets_colex(4, 2)
+    # u ^ u = 0: the simplex force on the points 0, u, u stores no entry
     rng = random.Random(52)
     for _ in range(5):
         u = tuple(rng.randint(-9, 9) for _ in range(4))
-        assert all(x == 0 for x in _wedge(u, u, pairs))
+        assert simplex_forces(3, [(0, 0, 0, 0), u, u]).canonical == {}
 
 
 def test_wedge_reduces_to_cross_product_for_three_dimensions():
