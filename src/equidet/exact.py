@@ -7,16 +7,19 @@ it is read.  Any other nonzero entry (a float, a bool, ...) is rejected with
 scaled by the lcm of its denominators to ``{col: int}``: row scaling keeps the
 null space and scales the determinant by a known factor.
 
-One fraction-free (Bareiss) forward pass serves ``det_exact``, ``rank_exact``,
-``kernel_basis`` and ``kernel_vector``; entries stay minors of the input,
-which bounds their growth.  The pass is lazy: a row with no entry in the
-pivot column is not touched.  The dense pass would multiply such a row by
-p_k / p_(k-1) at every step k; those factors telescope, so a row last updated
-while pivot t was current holds its dense value times t / prev.  Eliminating
-it with the new pivot p_k and multiplier f is therefore (x*p_k - f*y) // t,
-and a pivot row is brought up to date once as x*prev // t.  The Sylvester
-identity makes both divisions exact, and every row equals what the dense
-pass computes.
+One fraction-free (Bareiss) forward pass serves every query; entries stay
+minors of the input, which bounds their growth.  ``_eliminate`` yields one
+step per column, its pivot row or None when the column is free, and each
+query stops reading where its answer is: ``det_exact`` returns 0 and
+``kernel_vector`` its vector at the first free column, while ``rank_exact``
+and ``kernel_basis`` read every step.  The pass is lazy: a row with no entry
+in the pivot column is not touched.  The dense pass would multiply such a row
+by p_k / p_(k-1) at every step k; those factors telescope, so a row last
+updated while pivot t was current holds its dense value times t / prev.
+Eliminating it with the new pivot p_k and multiplier f is therefore
+(x*p_k - f*y) // t, and a pivot row is brought up to date once as
+x*prev // t.  The Sylvester identity makes both divisions exact, and every
+row equals what the dense pass computes.
 
 Callers differ only in the order columns are taken.  Kernels go left to
 right, so the free columns, and with them the kernel basis, are those of the
@@ -27,17 +30,14 @@ systems; ``det_exact`` multiplies in the signs of the row and column orders.
 Either way the pivot row is the candidate with the fewest nonzeros, lowest
 index first.
 
-Kernel vectors come from an integer back-substitution over each pivot row's
-nonzeros: the free coordinate is set to the last Bareiss pivot, so by
-Cramer's rule every division is exact.  ``kernel_basis`` returns every kernel
-vector; ``kernel_vector`` stops the forward pass at the first free column and
-returns only the first one.  Every zero test is exact; there is no
-floating-point path.
+A kernel vector is an integer back-substitution over the pivot rows
+eliminated before its free column, whose coordinate is set to the last
+Bareiss pivot, so by Cramer's rule every division is exact.  Every zero test
+is exact; there is no floating-point path.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from itertools import chain, compress, count
 from math import gcd, lcm
@@ -136,14 +136,15 @@ def _sparse_rows(m: Matrix):
     return rows, clearing
 
 
-def _eliminate(rows, ncols, fewest_rows_first=False, stop_at_free=False):
+def _eliminate(rows, ncols, fewest_rows_first=False):
     """Lazy fraction-free forward elimination over sparse rows, never mutating a row dict.
 
-    Returns ``(pivot rows, pivot columns, pivot row indices)`` in elimination
-    order; every pivot row is up to date.  Columns are taken left to right,
-    or with ``fewest_rows_first`` the remaining column with the fewest active
-    rows first (lowest index on ties).  A column with no active entry is free,
-    and ``stop_at_free`` ends the pass there.
+    Yields one step per column, in elimination order: ``(column, i)`` when
+    ``rows[i]`` is that column's pivot row, up to date from the moment it is
+    yielded, or ``(column, None)`` when the column has no active entry and is
+    free.  Columns are taken left to right, or with ``fewest_rows_first`` the
+    remaining column with the fewest active rows first (lowest index on ties).
+    A caller stops the pass by leaving its loop.
     """
     # active[c]: rows not yet used as pivots that have a nonzero in column c
     active = [set() for _ in range(ncols)]
@@ -153,7 +154,6 @@ def _eliminate(rows, ncols, fewest_rows_first=False, stop_at_free=False):
     # the pivot that was current when each row was last updated
     stamp = [1] * len(rows)
     remaining = list(range(ncols))
-    pivot_rows, pivot_cols, order = [], [], []
     prev = 1
     for step in range(ncols):
         if fewest_rows_first:
@@ -163,8 +163,7 @@ def _eliminate(rows, ncols, fewest_rows_first=False, stop_at_free=False):
             c = step
         cand = active[c]
         if not cand:
-            if stop_at_free:
-                break
+            yield c, None
             continue
         p = min(cand, key=lambda i: (len(rows[i]), i))
         rk = rows[p]
@@ -193,45 +192,39 @@ def _eliminate(rows, ncols, fewest_rows_first=False, stop_at_free=False):
             rows[i] = new
             stamp[i] = pk
         prev = pk
-        pivot_rows.append(rk)
-        pivot_cols.append(c)
-        order.append(p)
-    return pivot_rows, pivot_cols, order
+        yield c, p
 
 
 def det_exact(m: Matrix) -> Fraction:
     """Exact determinant of a square matrix."""
     if m.rows != m.cols:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
-    n = m.rows
-    if n == 0:
-        return Fraction(1)
     rows, clearing = _sparse_rows(m)
-    ech, cols, order = _eliminate(rows, n, fewest_rows_first=True, stop_at_free=True)
-    if len(cols) < n:
-        return Fraction(0)
     # sign(row order) * sign(column order) is the sign of the row order
     # composed with the inverse column order
-    perm = [0] * n
-    for r, c in zip(order, cols):
-        perm[c] = r
-    return Fraction(permutation_sign(perm) * ech[-1][cols[-1]], clearing)
+    perm = [0] * m.rows
+    pivot = 1
+    for c, p in _eliminate(rows, m.cols, fewest_rows_first=True):
+        if p is None:
+            return Fraction(0)
+        perm[c] = p
+        pivot = rows[p][c]
+    return Fraction(permutation_sign(perm) * pivot, clearing)
 
 
-def _free_vector(ech, pivots, free, ncols):
+def _free_vector(pivots, free, ncols):
     """Primitive integer kernel vector of the free column ``free``.
 
-    Only the k pivot rows left of ``free`` constrain it.  Setting x[free] to
-    the k-th Bareiss pivot, the determinant of their pivot block, makes every
-    pivot coordinate an integer minor (Cramer's rule), so each step divides
-    exactly.  The result is scaled to be primitive with x[free] > 0.
+    ``pivots`` holds the ``(column, row)`` pivots eliminated before ``free``,
+    in elimination order; no other row has an entry left in ``free`` or in a
+    pivot column.  Setting x[free] to the last Bareiss pivot, the determinant
+    of their pivot block, makes every pivot coordinate an integer minor
+    (Cramer's rule), so each step divides exactly.  The result is scaled to
+    be primitive with x[free] > 0.
     """
-    k = bisect_left(pivots, free)
     x = [0] * ncols
-    x[free] = ech[k - 1][pivots[k - 1]] if k else 1
-    for i in reversed(range(k)):
-        row = ech[i]
-        c = pivots[i]
+    x[free] = pivots[-1][1][pivots[-1][0]] if pivots else 1
+    for c, row in reversed(pivots):
         # x[c] is still 0, as is x outside ``free`` and the pivot columns solved
         # so far, so the whole row can be summed
         x[c], rem = divmod(-sum(v * x[j] for j, v in row.items()), row[c])
@@ -243,6 +236,18 @@ def _free_vector(ech, pivots, free, ncols):
     return [v // g for v in x]
 
 
+def _kernel_vectors(m: Matrix):
+    """Kernel vectors of ``m``, one per free column left to right, each made
+    as soon as elimination reaches its column."""
+    rows = _sparse_rows(m)[0]
+    pivots = []
+    for c, p in _eliminate(rows, m.cols):
+        if p is None:
+            yield _free_vector(pivots, c, m.cols)
+        else:
+            pivots.append((c, rows[p]))
+
+
 def kernel_basis(m: Matrix):
     """Basis of the right null space, as primitive integer vectors.
 
@@ -250,29 +255,15 @@ def kernel_basis(m: Matrix):
     satisfies m . v = 0 exactly.  One basis vector per free column of the
     echelon form, with that free coordinate positive.
     """
-    ech, pivots, _ = _eliminate(_sparse_rows(m)[0], m.cols)
-    pivot_set = set(pivots)
-    return [
-        _free_vector(ech, pivots, free, m.cols)
-        for free in range(m.cols)
-        if free not in pivot_set
-    ]
+    return list(_kernel_vectors(m))
 
 
 def kernel_vector(m: Matrix):
-    """``kernel_basis(m)[0]``, or None when the kernel is trivial.
-
-    Eliminates only up to the first free column, which is where that vector's
-    back-substitution starts.
-    """
-    ech, pivots, _ = _eliminate(_sparse_rows(m)[0], m.cols, stop_at_free=True)
-    # every column before the first free one has a pivot, so pivots == [0, ..., k-1]
-    free = len(pivots)
-    if free == m.cols:
-        return None
-    return _free_vector(ech, pivots, free, m.cols)
+    """``kernel_basis(m)[0]``, or None when the kernel is trivial; the
+    elimination stops at the first free column."""
+    return next(_kernel_vectors(m), None)
 
 
 def rank_exact(m: Matrix) -> int:
     """Exact rank; always equals cols minus the kernel dimension."""
-    return len(_eliminate(_sparse_rows(m)[0], m.cols, fewest_rows_first=True)[1])
+    return sum(p is not None for _, p in _eliminate(_sparse_rows(m)[0], m.cols, fewest_rows_first=True))

@@ -62,14 +62,20 @@ def _check_coefficient_shape(r, q):
         raise ValueError(f"need r >= 1, q >= r, got r={r}, q={q}")
 
 
+def _check_key(key, r, q):
+    """``key`` as a sorted in-range tuple of arity r."""
+    key = check_sorted_tuple(key, q)
+    if len(key) != r:
+        raise ValueError(f"key {key} does not have arity {r}")
+    return key
+
+
 def _vector_entries(r, d, q, entries):
     """Validated copy of a {sorted r-tuple: d-vector} mapping, zero vectors dropped."""
     _check_shape(r, d, q)
     out = {}
     for key, vec in (entries or {}).items():
-        key = check_sorted_tuple(key, q)
-        if len(key) != r:
-            raise ValueError(f"key {key} does not have arity {r}")
+        key = _check_key(key, r, q)
         vec = tuple(vec)
         if len(vec) != d:
             raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
@@ -98,9 +104,7 @@ class VectorConfiguration:
         return v
 
     def get(self, key):
-        key = check_sorted_tuple(key, self.q)
-        if len(key) != self.r:
-            raise ValueError(f"key {key} does not have arity {self.r}")
+        key = _check_key(key, self.r, self.q)
         return self.entries.get(key, (Fraction(0),) * self.d)
 
     def with_slot(self, key, vec):
@@ -195,9 +199,7 @@ class CoefficientSystem:
         self.q = q
         self.canonical = {}
         for key, value in (canonical or {}).items():
-            key = check_sorted_tuple(key, q)
-            if len(key) != r:
-                raise ValueError(f"key {key} does not have arity {r}")
+            key = _check_key(key, r, q)
             _check_exact(value)
             if value != 0:
                 self.canonical[key] = value

@@ -17,6 +17,7 @@ from equidet import (
     random_force_system,
     rank_exact,
 )
+from equidet import exact
 from equidet.exact import _free_vector
 
 
@@ -225,7 +226,7 @@ def test_back_substitution_rejects_inexact_division():
     # echelon rows that no Bareiss pass produces: x[2] = 3 gives x[1] = -1,
     # then 2 * x[0] = 1 has no integer solution
     with pytest.raises(ArithmeticError, match="inexact division"):
-        _free_vector([{0: 2, 1: 1}, {1: 3, 2: 1}], [0, 1], 2, 3)
+        _free_vector([(0, {0: 2, 1: 1}), (1, {1: 3, 2: 1})], 2, 3)
 
 
 def _kernel_inputs():
@@ -257,6 +258,7 @@ def test_kernel_vectors_satisfy_system_exactly():
     for m in _kernel_inputs():
         basis = kernel_basis(m)
         assert rank_exact(m) + len(basis) == m.cols
+        assert kernel_vector(m) == (basis[0] if basis else None)
         for v in basis:
             assert any(v)
             assert all(x == 0 for x in m.mul_vec(v))
@@ -388,3 +390,64 @@ def test_elimination_rejects_non_exact_scalars(bad):
     for fn in (det_exact, kernel_basis, kernel_vector, rank_exact):
         with pytest.raises(ValueError):
             fn(m)
+
+
+@pytest.fixture
+def eliminate_steps(monkeypatch):
+    """Steps read from each ``_eliminate`` stream, one list per call."""
+    original = exact._eliminate
+    calls = []
+
+    def counted(*args, **kwargs):
+        steps = []
+        calls.append(steps)
+        for step in original(*args, **kwargs):
+            steps.append(step)
+            yield step
+
+    monkeypatch.setattr(exact, "_eliminate", counted)
+    return calls
+
+
+def test_kernel_vector_reads_up_to_the_first_free_column(eliminate_steps):
+    for m in _kernel_inputs():
+        ref = kernel_basis_fraction(m)
+        # the reference's first vector is zero right of its free column
+        first_free = max(j for j, x in enumerate(ref[0]) if x) if ref else None
+        eliminate_steps.clear()
+        kernel_vector(m)
+        [steps] = eliminate_steps
+        if first_free is None:
+            assert len(steps) == m.cols and all(p is not None for _, p in steps)
+        else:
+            assert len(steps) == first_free + 1
+            assert steps[-1] == (first_free, None)
+
+
+def test_singular_det_stops_at_its_first_free_step(eliminate_steps):
+    rng = random.Random(17)
+    for _ in range(60):
+        n = rng.randint(2, 8)
+        rows = _int_rows(rng, n, n)
+        i, j = rng.sample(range(n), 2)
+        k = rng.randint(-2, 2)
+        rows[i] = [k * x for x in rows[j]]
+        m = Matrix(rows)
+        eliminate_steps.clear()
+        assert det_exact(m) == 0
+        [steps] = eliminate_steps
+        assert steps[-1][1] is None
+        assert all(p is not None for _, p in steps[:-1])
+    # a zero column has no active row, so the fewest-rows order takes it first
+    eliminate_steps.clear()
+    assert det_exact(Matrix([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0
+    assert eliminate_steps == [[(1, None)]]
+
+
+def test_rank_reads_every_column(eliminate_steps):
+    for m in _kernel_inputs():
+        eliminate_steps.clear()
+        rank = rank_exact(m)
+        [steps] = eliminate_steps
+        assert sorted(c for c, _ in steps) == list(range(m.cols))
+        assert rank == sum(p is not None for _, p in steps)
