@@ -22,17 +22,16 @@ relation matrix, and a build scatters the stored values through it.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 from .combinat import subsets_colex
 from .exact import Matrix, det_exact
 from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration
 
 
-@dataclass(frozen=True)
-class SystemMatrix:
+class SystemMatrix(NamedTuple):
     """Labeled system, square or full: rows ((r-1)-tuple, coordinate), columns (r-tuples)."""
 
     matrix: Matrix

@@ -21,17 +21,16 @@ column rank.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb
+from typing import NamedTuple
 
 from . import detmap
 from .exact import Matrix, kernel_vector, rank_exact
 from .tensors import CoefficientSystem, ForceSystem
 
 
-@dataclass(frozen=True)
-class EquilibriumSystem:
+class EquilibriumSystem(NamedTuple):
     r: int
     d: int
     q: int
@@ -125,8 +124,7 @@ def row_dependence_holds(f: ForceSystem) -> bool:
     return not any((relations * build_equilibrium_system(f).full_matrix).sparse)
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(NamedTuple):
     """``kernel_dim`` is the full system's column count minus its rank."""
 
     det_value: Fraction

@@ -12,12 +12,11 @@ from __future__ import annotations
 import os
 import random
 import sys
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations, permutations
 from math import comb, prod
 from operator import getitem
+from typing import NamedTuple
 
 from .combinat import permutation_sign, subsets_colex
 from .detmap import det_sr
@@ -191,8 +190,7 @@ def random_coefficients(r: int, q: int, bound: int, rng) -> CoefficientSystem:
     return CoefficientSystem._from_checked(r, q, canonical)
 
 
-@dataclass(frozen=True)
-class WitnessReport:
+class WitnessReport(NamedTuple):
     r: int
     d: int
     trials: int
@@ -205,6 +203,8 @@ def _map_trials(fn, jobs, parallel):
     """``[fn(*job) for job in jobs]``; with ``parallel`` the same list comes
     from a process pool, so ``fn`` and every job must pickle."""
     if parallel:
+        from concurrent.futures import ProcessPoolExecutor  # only a parallel run pays for loading the pool
+
         with ProcessPoolExecutor(max_workers=min(len(jobs), os.cpu_count() or 1)) as pool:
             return list(pool.map(fn, *zip(*jobs)))
     return [fn(*job) for job in jobs]

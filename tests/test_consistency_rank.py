@@ -1,7 +1,6 @@
 """theorem_consistency decides from two ranks; these tests hold it to the
 kernel-basis computation it replaced, and reach its failure branches."""
 
-import dataclasses
 import random
 from itertools import combinations
 
@@ -82,7 +81,7 @@ def halved_reduced_rows(monkeypatch):
         system = build(f)
         reduced = system.reduced_matrix
         kept = Matrix._from_sparse(reduced.sparse[: reduced.rows // 2], reduced.cols)
-        return dataclasses.replace(system, reduced_matrix=kept)
+        return system._replace(reduced_matrix=kept)
 
     monkeypatch.setattr(equilibrium, "build_equilibrium_system", patched)
 

@@ -1,3 +1,4 @@
+import concurrent.futures
 import os
 import random
 from fractions import Fraction
@@ -244,12 +245,12 @@ def test_generated_forces_pass_antisymmetry_spot_checks():
 def test_parallel_search_starts_at_most_one_worker_per_trial_and_cpu(monkeypatch, capsys, trials, cpus, workers):
     started = []
 
-    class RecordingPool(witnesses.ProcessPoolExecutor):
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
         def __init__(self, max_workers=None, **kwargs):
             started.append(max_workers)
             super().__init__(max_workers=max_workers, **kwargs)
 
-    monkeypatch.setattr(witnesses, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(witnesses.os, "cpu_count", lambda: cpus)
     argv = ["witness-search", "--r", "2", "--d", "2", "--trials", str(trials), "--seed", "3"]
     assert main(argv + ["--parallel"]) == 0
