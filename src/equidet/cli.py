@@ -28,7 +28,6 @@ from math import comb
 from .combinat import subsets_colex
 from .detmap import build_system_matrix, check_dependence_relations, det_sr
 from .equilibrium import row_dependence_holds, solve_nontrivial, theorem_consistency
-from .exact import det_exact
 from .tensorfile import dump_tensor, format_scalar, load_tensor, tensor_to_json
 from .tensors import ForceSystem
 from .witnesses import (
@@ -52,11 +51,11 @@ def cmd_det(args) -> int:
             file=sys.stderr,
         )
         return 3
-    system = build_system_matrix(cfg)
-    value = det_exact(system.matrix)
+    value = det_sr(cfg)
     print(value)
     print("ZERO" if value == 0 else "NONZERO")
     if args.matrix:
+        system = build_system_matrix(cfg)
         dump = {
             "row_labels": [[list(m), coord] for m, coord in system.row_labels],
             "col_labels": [list(t) for t in system.col_labels],

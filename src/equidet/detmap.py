@@ -8,7 +8,11 @@ sorted tuple.  Equations whose tuple contains q are redundant (see
 square: d * C(q-1, r-1) = C(q, r).  The determinant of that matrix is the
 configuration invariant computed by :func:`det_sr`; it is linear in every
 slot and vanishes whenever all r-subsets of some (r+1) particles share one
-vector.
+vector.  :func:`det_sr` pivots each column M + {q}, which is s * u in block M
+alone (s = term_sign(M, q) for every one of the N = C(q-1, r-1) blocks), on
+u's first nonzero a = u[k0]; ``det_exact`` then sees only the Schur complement
+S over the C(q-1, r) columns avoiding q, rows a * row(M, k) - u[k] * row(M, k0),
+and det = (-1)^e s^N det(S) prod a^(2-d), e = sum (d-1-k0) + (d-1) N(N-1)/2.
 
 Configurations and force systems share one equation builder and one relation
 combination; each convention uses one sign function at both levels
@@ -24,6 +28,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
+from math import prod
 from typing import NamedTuple
 
 from .combinat import subsets_colex
@@ -120,19 +125,50 @@ def _relation_rows(r: int, d: int, q: int, sign) -> Matrix:
     return Matrix._from_sparse(rows, d * len(block_index))
 
 
-def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
-    """Assemble the square system for a configuration with q = r*d."""
+def _square_shape(v) -> tuple:
+    """(r, d, q) of a configuration with q = r*d, the square system's precondition."""
     if not isinstance(v, VectorConfiguration):
         raise TypeError(f"square system needs a VectorConfiguration, got {type(v).__name__}")
-    r, d, q = v.r, v.d, v.q
-    if q != r * d:
-        raise ValueError(f"square system needs q = r*d, got q={q} with r={r}, d={d}")
+    if v.q != v.r * v.d:
+        raise ValueError(f"square system needs q = r*d, got q={v.q} with r={v.r}, d={v.d}")
+    return v.r, v.d, v.q
+
+
+def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
+    """Assemble the square system for a configuration with q = r*d."""
+    r, d, q = _square_shape(v)
     return _incidence_rows(v.entries, r, d, q, q - 1, term_sign)
 
 
 def det_sr(v: VectorConfiguration) -> Fraction:
-    """Exact determinant of the square system built from ``v``."""
-    return det_exact(build_system_matrix(v).matrix)
+    """Exact determinant of the square system built from ``v``, via the Schur complement S above."""
+    r, d, q = _square_shape(v)
+    pattern, row_labels, cols = _incidence_pattern(r, d, q, q - 1, term_sign)
+    blocks = len(row_labels) // d
+    n = len(cols) - blocks
+    e = (d - 1) * blocks * (blocks - 1) // 2 + blocks * (term_sign(cols[-1][:-1], q) < 0)
+    heads = []  # per block M: (a, k0, ((row of S, u[k], k) for k != k0))
+    for b, t in enumerate(cols[n:]):
+        u = v.entries.get(t, ())
+        k0 = next((k for k, x in enumerate(u) if x), None)
+        if k0 is None:  # no head, or a zero one: a zero column
+            return Fraction(0)
+        e += d - 1 - k0
+        others = tuple((b * (d - 1) + k - (k > k0), x, k) for k, x in enumerate(u) if k != k0)
+        heads.append((u[k0], k0, others))
+    rows = [{} for _ in range(n)]
+    for t, w in v.entries.items():
+        j, slots = pattern[t]
+        if j < n:
+            for base, negate in slots:
+                a, k0, others = heads[base // d]
+                y = w[k0]
+                for row, c, k in others:
+                    x = a * w[k] - c * y
+                    if x:
+                        rows[row][j] = -x if negate else x
+    value = det_exact(Matrix._from_sparse(rows, n)) * (-1 if e & 1 else 1)
+    return value if d == 2 else value * Fraction(prod(a for a, _, _ in heads)) ** (2 - d)
 
 
 def check_dependence_relations(v, lam: CoefficientSystem) -> bool:

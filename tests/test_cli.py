@@ -270,10 +270,10 @@ def test_solve_exits_1_when_the_prefix_vector_fails_its_certificate(
 def test_det_exits_1_when_the_determinant_fails_its_check(tmp_path, monkeypatch, capsys):
     import equidet.cli as cli
 
-    def failing_det(matrix):
+    def failing_det(cfg):
         raise ArithmeticError("determinant failed its check")
 
-    monkeypatch.setattr(cli, "det_exact", failing_det)
+    monkeypatch.setattr(cli, "det_sr", failing_det)
     assert main(["det", "--input", write_min_config(tmp_path)]) == 1
     captured = capsys.readouterr()
     assert "internal error: determinant failed its check" in captured.err

@@ -13,6 +13,7 @@ from equidet import (
     build_equilibrium_system,
     build_system_matrix,
     check_dependence_relations,
+    cross_product_forces,
     det_exact,
     det_sr,
     insert_position,
@@ -390,3 +391,93 @@ def test_cached_layout_is_never_shared_or_stale(monkeypatch, form):
     assert build(x) == reference_rows(x.get, r, d, q, eq_q, flat) != original
     monkeypatch.undo()
     assert build(x) == original
+
+
+# (1, 2) and (1, 4) are the shapes here with s = term_sign(M, q) = -1 over an odd
+# number N of blocks, so s^N = -1
+SQUARE_SHAPES = [
+    (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4),
+    (3, 1), (3, 2), (3, 3), (4, 2), (5, 1),
+]
+
+
+def heads(r, d):
+    """Tuples holding q = r*d: the columns det_sr eliminates inside their blocks."""
+    return [t for t in subsets_colex(r * d, r) if t[-1] == r * d]
+
+
+def whole_system_det(v):
+    return det_exact(build_system_matrix(v).matrix)
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5])
+@pytest.mark.parametrize("r,d", SQUARE_SHAPES)
+def test_det_sr_matches_the_whole_system_determinant(r, d, bound):
+    # bound 1 leaves heads missing or with leading zeros; larger bounds give
+    # pivots a with a^(2-d) != 1.  Zeroing every head's first coordinate moves
+    # each pivot one row down, which flips the sign term of odd blocks.
+    rng = random.Random(f"schur-{r}-{d}-{bound}")
+    for _ in range(2 if r * d > 6 else 10):
+        v = random_configuration(r, d, bound, rng)
+        assert det_sr(v) == whole_system_det(v), (r, d, bound)
+        if d > 1:
+            for t in heads(r, d):
+                v = v.with_slot(t, (0, *(rng.choice((-2, -1, 1, 3)) for _ in range(d - 1))))
+            assert det_sr(v) == whole_system_det(v), (r, d, bound)
+
+
+@pytest.mark.parametrize("r,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_det_sr_matches_on_fraction_entries(r, d):
+    rng = random.Random(f"schur-fractions-{r}-{d}")
+    q = r * d
+    for _ in range(1 if q > 6 else 5):
+        entries = {
+            t: tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 6)) for _ in range(d))
+            for t in subsets_colex(q, r)
+        }
+        v = VectorConfiguration(r, d, q, entries)
+        assert det_sr(v) == whole_system_det(v), (r, d)
+
+
+def test_det_sr_matches_on_planted_zeros_at_84_columns():
+    rng = random.Random("schur-zeros")
+    for trial in range(4):
+        cfg = random_configuration(3, 3, 5, rng)
+        # every other clique holds particle 9, so three of its slots are heads
+        clique = sorted(rng.sample(range(1, 9), 3) + [9] if trial % 2 else rng.sample(range(1, 10), 4))
+        shared = tuple(rng.randint(-5, 5) for _ in range(3))
+        for sub in combinations(clique, 3):
+            cfg = cfg.with_slot(sub, shared)
+        assert det_sr(cfg) == whole_system_det(cfg) == 0, clique
+    for _ in range(2):
+        points = [tuple(rng.randint(-5, 5) for _ in range(3)) for _ in range(9)]
+        cfg = cross_product_forces(points).to_configuration()
+        assert det_sr(cfg) == whole_system_det(cfg) == 0
+
+
+def test_det_sr_eliminates_only_the_schur_complement(monkeypatch):
+    import equidet.detmap as detmap
+
+    seen = []
+
+    def recorder(m):
+        seen.append((m.rows, m.cols))
+        return det_exact(m)
+
+    monkeypatch.setattr(detmap, "det_exact", recorder)
+    rng = random.Random("schur-recorder")
+    for r, d in SQUARE_SHAPES:
+        q = r * d
+        v = random_configuration(r, d, 5, rng)
+        for t in heads(r, d):
+            if t not in v.entries:
+                v = v.with_slot(t, (1,) * d)
+        seen.clear()
+        expected = det_sr(v)
+        assert seen == [(comb(q - 1, r), comb(q - 1, r))], (r, d)
+        assert expected == whole_system_det(v)
+        # a missing head, or an all-zero one, is a zero column: no elimination runs
+        zero_head = VectorConfiguration._from_checked(r, d, q, {**v.entries, heads(r, d)[-1]: (0,) * d})
+        seen.clear()
+        assert det_sr(v.with_slot(heads(r, d)[-1], (0,) * d)) == det_sr(zero_head) == 0
+        assert seen == []
