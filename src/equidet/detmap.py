@@ -1,11 +1,12 @@
 """The square interaction system and its exact determinant.
 
-A configuration on q = r*d particles yields one d-row vector equation per
-(r-1)-subset M of {1..q-1}: the unknown attached to tuple M + {i} enters
+A configuration on q particles yields one d-row vector equation per
+(r-1)-subset M of {1..q}: the unknown attached to tuple M + {i} enters
 with sign (-1) ** (i + p), where p is the 1-based slot i takes inside the
 sorted tuple.  Equations whose tuple contains q are redundant (see
-:func:`check_dependence_relations`) and are dropped, which makes the matrix
-square: d * C(q-1, r-1) = C(q, r).  The determinant of that matrix is the
+:func:`check_dependence_relations`); colex order lists the others first, so
+for q = r*d the square system is the full system's leading
+d * C(q-1, r-1) = C(q, r) rows.  The determinant of that matrix is the
 configuration invariant computed by :func:`det_sr`; it is linear in every
 slot and vanishes whenever all r-subsets of some (r+1) particles share one
 vector.  :func:`det_sr` pivots each column M + {q}, which is s * u in block M
@@ -17,10 +18,11 @@ and det = (-1)^e s^N det(S) prod a^(2-d), e = sum (d-1-k0) + (d-1) N(N-1)/2.
 Configurations and force systems share one equation builder and one relation
 combination; each convention uses one sign function at both levels
 (:func:`term_sign` for configurations, :func:`_order_sign` for forces).
-Where each nonzero goes, and its sign, depend only on the shape (r, d, q), the
-equation range and the sign function, never on the values: that layout is
-computed once per shape and sign function and cached, as is the whole ±1
-relation matrix, and a build scatters the stored values through it.
+Where each nonzero goes, and its sign, depend only on the shape (r, d, q) and
+the sign function, never on the values.  That layout of the full system, with
+its labels and its ±1 relation rows, is computed once per shape and sign
+function and cached; every build scatters the stored values through it, and
+the square system, :func:`det_sr` and the relation checks all read it.
 """
 
 from __future__ import annotations
@@ -28,12 +30,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import prod
+from math import comb, prod
 from typing import NamedTuple
 
 from .combinat import subsets_colex
 from .exact import Matrix, det_exact
-from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration
+from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration, _check_coefficients
 
 
 class SystemMatrix(NamedTuple):
@@ -57,19 +59,22 @@ def _order_sign(equation_tuple, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _incidence_pattern(r: int, d: int, q: int, eq_q: int, sign):
-    """Value-independent layout of the system whose equations are the
-    (r-1)-subsets M of {1..eq_q} in colex order, d rows each, over the r-tuples
-    of {1..q} in colex order.
+def _incidence_pattern(r: int, d: int, q: int, sign):
+    """Value-independent layout of the full system: d rows per (r-1)-subset M
+    of {1..q} in colex order, over the r-tuples of {1..q} in colex order.
 
     Maps every sorted r-tuple T to ``(column of T, ((first row of block M,
-    negate), ...))``, one pair per equation M = T - {i} in range, where
-    ``negate`` is ``sign(M, i) < 0``; also returns the row labels ((M,
-    coordinate), ...) and the column labels (the r-tuples).  The key includes
-    the sign function, so a replaced one gets its own pattern.  Shared by
+    negate), ...))``, one pair per equation M = T - {i}, where ``negate`` is
+    ``sign(M, i) < 0``; also returns the row labels ((M, coordinate), ...),
+    the column labels (the r-tuples) and the relation rows: for every
+    (r-2)-subset N, the d rows sum over i of sign(N, i) * rows(sorted(N + {i})).
+    Each tuple N + {i, j} is reached once through i and once through j, and
+    the two terms cancel when the rows were built with the same sign function,
+    so the relation rows times the full system are zero.  The key includes
+    the sign function, so a replaced one gets its own layout.  Shared by
     every caller: read it, never write it.
     """
-    equations = subsets_colex(eq_q, r - 1)
+    equations = subsets_colex(q, r - 1)
     col_labels = subsets_colex(q, r)
     block_row = {m: b * d for b, m in enumerate(equations)}
     pattern = {}
@@ -77,21 +82,27 @@ def _incidence_pattern(r: int, d: int, q: int, eq_q: int, sign):
         slots = []
         for p, i in enumerate(t):
             m = t[:p] + t[p + 1 :]
-            base = block_row.get(m)
-            if base is not None:
-                slots.append((base, sign(m, i) < 0))
+            slots.append((block_row[m], sign(m, i) < 0))
         pattern[t] = (j, tuple(slots))
     row_labels = tuple((m, coord) for m in equations for coord in range(1, d + 1))
-    return pattern, row_labels, col_labels
+    relations = []
+    for anchor in subsets_colex(q, r - 2):
+        terms = [
+            (block_row[tuple(sorted(anchor + (i,)))], sign(anchor, i))
+            for i in range(1, q + 1)
+            if i not in anchor
+        ]
+        relations.extend({base + coord: s for base, s in terms} for coord in range(d))
+    return pattern, row_labels, col_labels, Matrix._from_sparse(relations, len(row_labels))
 
 
-def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> SystemMatrix:
-    """Labeled system of d sparse rows per equation M, an (r-1)-subset of
-    {1..eq_q} in colex order, over the r-tuples of {1..q} in colex order;
-    column sorted(M + {i}) holds sign(M, i) * values[sorted(M + {i})], where
-    ``values`` maps sorted r-tuples to d-vectors.  Only the stored slots are
-    visited; rows, columns, signs and labels come from :func:`_incidence_pattern`."""
-    pattern, row_labels, col_labels = _incidence_pattern(r, d, q, eq_q, sign)
+def _incidence_rows(values, r: int, d: int, q: int, sign) -> SystemMatrix:
+    """Labeled full system of d sparse rows per equation M, an (r-1)-subset of
+    {1..q} in colex order, over the r-tuples of {1..q} in colex order; column
+    sorted(M + {i}) holds sign(M, i) * values[sorted(M + {i})], where ``values``
+    maps sorted r-tuples to d-vectors.  Only the stored slots are visited;
+    rows, columns, signs and labels come from :func:`_incidence_pattern`."""
+    pattern, row_labels, col_labels, _ = _incidence_pattern(r, d, q, sign)
     rows = [{} for _ in row_labels]
     for key, vec in values.items():
         j, slots = pattern[key]
@@ -102,27 +113,12 @@ def _incidence_rows(values, r: int, d: int, q: int, eq_q: int, sign) -> SystemMa
     return SystemMatrix(Matrix._from_sparse(rows, len(col_labels)), row_labels, col_labels)
 
 
-@lru_cache(maxsize=None)
-def _relation_rows(r: int, d: int, q: int, sign) -> Matrix:
-    """Row combinations of a full system (d rows per (r-1)-subset of {1..q} in
-    colex order): for every (r-2)-subset N, the d rows sum over i of sign(N, i)
-    * rows(sorted(N + {i})).  Each tuple N + {i, j} is reached once through i
-    and once through j, and the two terms cancel when the rows were built with
-    the same sign function, so this matrix times a full system is zero.
-
-    Cached per shape and sign function and shared by every caller: read it,
-    never write it.
-    """
-    block_index = {m: b for b, m in enumerate(subsets_colex(q, r - 1))}
-    rows = []
-    for anchor in subsets_colex(q, r - 2):
-        terms = [
-            (block_index[tuple(sorted(anchor + (i,)))] * d, sign(anchor, i))
-            for i in range(1, q + 1)
-            if i not in anchor
-        ]
-        rows.extend({base + coord: s for base, s in terms} for coord in range(d))
-    return Matrix._from_sparse(rows, d * len(block_index))
+def _reduced_rows(system: SystemMatrix, r: int, d: int, q: int) -> SystemMatrix:
+    """The leading d * C(q-1, r-1) rows of a full system: the equations that
+    avoid particle q, which colex order lists first."""
+    n = d * comb(q - 1, r - 1)
+    matrix = Matrix._from_sparse(system.matrix.sparse[:n], system.matrix.cols)
+    return SystemMatrix(matrix, system.row_labels[:n], system.col_labels)
 
 
 def _square_shape(v) -> tuple:
@@ -137,14 +133,14 @@ def _square_shape(v) -> tuple:
 def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     """Assemble the square system for a configuration with q = r*d."""
     r, d, q = _square_shape(v)
-    return _incidence_rows(v.entries, r, d, q, q - 1, term_sign)
+    return _reduced_rows(_incidence_rows(v.entries, r, d, q, term_sign), r, d, q)
 
 
 def det_sr(v: VectorConfiguration) -> Fraction:
     """Exact determinant of the square system built from ``v``, via the Schur complement S above."""
     r, d, q = _square_shape(v)
-    pattern, row_labels, cols = _incidence_pattern(r, d, q, q - 1, term_sign)
-    blocks = len(row_labels) // d
+    pattern, _, cols, _ = _incidence_pattern(r, d, q, term_sign)
+    blocks = comb(q - 1, r - 1)
     n = len(cols) - blocks
     e = (d - 1) * blocks * (blocks - 1) // 2 + blocks * (term_sign(cols[-1][:-1], q) < 0)
     heads = []  # per block M: (a, k0, ((row of S, u[k], k) for k != k0))
@@ -183,16 +179,12 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
         raise TypeError(
             f"dependence relations need a VectorConfiguration or a ForceSystem, got {type(v).__name__}"
         )
-    if not isinstance(lam, CoefficientSystem):
-        raise TypeError(f"dependence relations need a CoefficientSystem, got {type(lam).__name__}")
-    if lam.r != v.r or lam.q != v.q:
-        raise ValueError(
-            f"arity mismatch: coefficients are (r={lam.r}, q={lam.q}), input is (r={v.r}, q={v.q})"
-        )
+    _check_coefficients(lam, v.r, v.q)
     if isinstance(v, ForceSystem):
         values, sign = v.canonical, _order_sign
     else:
         values, sign = v.entries, term_sign
-    system = _incidence_rows(values, v.r, v.d, v.q, v.q, sign)
+    system = _incidence_rows(values, v.r, v.d, v.q, sign)
     at_lam = system.matrix.mul_vec([lam.canonical.get(t, 0) for t in system.col_labels])
-    return not any(_relation_rows(v.r, v.d, v.q, sign).mul_vec(at_lam))
+    relations = _incidence_pattern(v.r, v.d, v.q, sign)[-1]
+    return not any(relations.mul_vec(at_lam))

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 from . import detmap
 from .exact import Matrix, kernel_vector, rank_exact
-from .tensors import CoefficientSystem, ForceSystem
+from .tensors import CoefficientSystem, ForceSystem, _check_coefficients
 
 
 class EquilibriumSystem(NamedTuple):
@@ -49,15 +49,13 @@ def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
     """All per-tuple force-balance equations for ``f``, full and reduced."""
     _check_forces(f)
     r, d, q = f.r, f.d, f.q
-    full = detmap._incidence_rows(f.canonical, r, d, q, q, detmap._order_sign)
-    # colex order lists the tuples avoiding q first
-    reduced = Matrix._from_sparse(full.matrix.sparse[: d * comb(q - 1, r - 1)], full.matrix.cols)
+    full = detmap._incidence_rows(f.canonical, r, d, q, detmap._order_sign)
     return EquilibriumSystem(
         r=r,
         d=d,
         q=q,
         full_matrix=full.matrix,
-        reduced_matrix=reduced,
+        reduced_matrix=detmap._reduced_rows(full, r, d, q).matrix,
         row_labels=full.row_labels,
         col_labels=full.col_labels,
     )
@@ -77,14 +75,9 @@ def solve_nontrivial(f: ForceSystem):
     full = system.full_matrix
     r, d, q = f.r, f.d, f.q
     k = min(q, r * d + 1)
-    if k == q:
-        prefix = full
-    else:
-        cols = comb(k, r)
-        rows = full.sparse[: d * comb(k, r - 1)]
-        prefix = Matrix._from_sparse(
-            [{j: x for j, x in row.items() if j < cols} for row in rows], cols
-        )
+    cols = comb(k, r)
+    rows = full.sparse[: d * comb(k, r - 1)]
+    prefix = Matrix._from_sparse([{j: x for j, x in row.items() if j < cols} for row in rows], cols)
     vec = kernel_vector(prefix)
     if vec is None:
         if k < q:
@@ -101,12 +94,7 @@ def residual(f: ForceSystem, lam: CoefficientSystem) -> Fraction:
     """Largest absolute coordinate over all equations evaluated at ``lam``;
     exactly zero iff ``lam`` solves the system."""
     _check_forces(f)
-    if not isinstance(lam, CoefficientSystem):
-        raise TypeError(f"residual needs a CoefficientSystem, got {type(lam).__name__}")
-    if lam.r != f.r or lam.q != f.q:
-        raise ValueError(
-            f"arity mismatch: coefficients are (r={lam.r}, q={lam.q}), forces are (r={f.r}, q={f.q})"
-        )
+    _check_coefficients(lam, f.r, f.q)
     system = build_equilibrium_system(f)
     values = system.full_matrix.mul_vec([lam.canonical.get(t, 0) for t in system.col_labels])
     return Fraction(max(map(abs, values), default=0))
@@ -120,7 +108,7 @@ def row_dependence_holds(f: ForceSystem) -> bool:
     i in the sorted tuple) is the zero row, for any force system.  This is
     what justifies dropping the equations that mention particle q.
     """
-    relations = detmap._relation_rows(f.r, f.d, f.q, detmap._order_sign)
+    relations = detmap._incidence_pattern(f.r, f.d, f.q, detmap._order_sign)[-1]
     return not any((relations * build_equilibrium_system(f).full_matrix).sparse)
 
 

@@ -231,3 +231,14 @@ class CoefficientSystem:
 
     def __repr__(self):
         return f"CoefficientSystem(r={self.r}, q={self.q}, {len(self.canonical)} nonzero tuples)"
+
+
+def _check_coefficients(lam, r: int, q: int) -> None:
+    """``TypeError`` unless ``lam`` is a :class:`CoefficientSystem`, ``ValueError``
+    unless it has arity r over q particles, as the system it is tried on."""
+    if not isinstance(lam, CoefficientSystem):
+        raise TypeError(f"coefficients must be a CoefficientSystem, got {type(lam).__name__}")
+    if lam.r != r or lam.q != q:
+        raise ValueError(
+            f"arity mismatch: coefficients are (r={lam.r}, q={lam.q}), the system is (r={r}, q={q})"
+        )

@@ -24,7 +24,13 @@ from equidet import (
     row_dependence_holds,
     subsets_colex,
 )
-from equidet.detmap import _incidence_rows, _order_sign, _relation_rows, term_sign
+from equidet.detmap import (
+    _incidence_pattern,
+    _incidence_rows,
+    _order_sign,
+    _reduced_rows,
+    term_sign,
+)
 
 # Independent cofactor oracle computed before the builder existed: the
 # basis-pattern configuration below has determinant -1.
@@ -337,8 +343,10 @@ def test_cached_builder_matches_uncached_reference_on_every_small_shape(form, en
                 else:
                     x, sign = ForceSystem(r, d, q, values), _order_sign
                     stored = x.canonical
-                for eq_q in (q - 1, q):
-                    m = _incidence_rows(stored, r, d, q, eq_q, sign).matrix
+                full = _incidence_rows(stored, r, d, q, sign)
+                # the full rows, then their leading rows: the equations avoiding q
+                for eq_q, system in ((q, full), (q - 1, _reduced_rows(full, r, d, q))):
+                    m = system.matrix
                     assert (m.rows, m.cols) == (d * comb(eq_q, r - 1), comb(q, r))
                     assert all(all(row.values()) for row in m.sparse)  # nonzeros only
                     assert m.data == reference_rows(x.get, r, d, q, eq_q, sign), (r, d, q, eq_q)
@@ -358,24 +366,28 @@ def test_cached_layout_is_never_shared_or_stale(monkeypatch, form):
         values, sign_name = x.canonical, "_order_sign"
     sign = getattr(detmap, sign_name)
 
-    # square (q - 1) and full (q) equation ranges: fresh rows on every build
+    def build_rows(eq_q):
+        system = _incidence_rows(values, r, d, q, sign)
+        return (system if eq_q == q else _reduced_rows(system, r, d, q)).matrix
+
+    # leading (q - 1) and full (q) equation ranges: fresh rows on every build
     for eq_q in (q - 1, q):
         expected = reference_rows(x.get, r, d, q, eq_q, sign)
-        first = _incidence_rows(values, r, d, q, eq_q, sign).matrix
-        second = _incidence_rows(values, r, d, q, eq_q, sign).matrix
+        first = build_rows(eq_q)
+        second = build_rows(eq_q)
         assert {id(row) for row in first.sparse}.isdisjoint(id(row) for row in second.sparse)
         first.sparse[0][0] = 99
         first.sparse[-1].clear()
         assert second.data == expected
-        assert _incidence_rows(values, r, d, q, eq_q, sign).matrix.data == expected
+        assert build_rows(eq_q).data == expected
 
-    # the shared relation matrix is read, never written
-    relations = _relation_rows(r, d, q, sign)
+    # the relation rows cached with the layout are shared, read and never written
+    relations = _incidence_pattern(r, d, q, sign)[-1]
     snapshot = [dict(row) for row in relations.sparse]
     assert check_dependence_relations(x, random_coefficients(r, q, 5, rng))
     if form == "forces":
         assert row_dependence_holds(x)
-    assert _relation_rows(r, d, q, sign) is relations
+    assert _incidence_pattern(r, d, q, sign)[-1] is relations
     assert relations.sparse == snapshot
 
     # a patched sign function is a new cache key, and unpatching restores the original
@@ -391,6 +403,19 @@ def test_cached_layout_is_never_shared_or_stale(monkeypatch, form):
     assert build(x) == reference_rows(x.get, r, d, q, eq_q, flat) != original
     monkeypatch.undo()
     assert build(x) == original
+
+
+@pytest.mark.parametrize("r, d", [(1, 3), (2, 2), (3, 2), (4, 1), (4, 2)])
+def test_one_cached_layout_per_configuration_shape(r, d):
+    # the square system, its determinant and the relation check all read the
+    # full system's layout: one cache entry, not one per equation range
+    rng = random.Random(f"one-layout-{r}-{d}")
+    v = random_configuration(r, d, 5, rng)
+    _incidence_pattern.cache_clear()
+    det_sr(v)
+    build_system_matrix(v)
+    assert check_dependence_relations(v, random_coefficients(r, v.q, 5, rng))
+    assert _incidence_pattern.cache_info().currsize == 1
 
 
 # (1, 2) and (1, 4) are the shapes here with s = term_sign(M, q) = -1 over an odd
