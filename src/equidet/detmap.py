@@ -14,6 +14,9 @@ alone (s = term_sign(M, q) for every one of the N = C(q-1, r-1) blocks), on
 u's first nonzero a = u[k0]; ``det_exact`` then sees only the Schur complement
 S over the C(q-1, r) columns avoiding q, rows a * row(M, k) - u[k] * row(M, k0),
 and det = (-1)^e s^N det(S) prod a^(2-d), e = sum (d-1-k0) + (d-1) N(N-1)/2.
+S is built one block at a time: the layout lists each block M's slots
+M + {i} in order of i, head last, so a block reads its head, takes the pivot
+and writes each of its d-1 rows of S as one dict.
 
 Configurations and force systems share one equation builder and one relation
 combination; each convention uses one sign function at both levels
@@ -21,8 +24,9 @@ combination; each convention uses one sign function at both levels
 Where each nonzero goes, and its sign, depend only on the shape (r, d, q) and
 the sign function, never on the values.  That layout of the full system, with
 its labels and its ±1 relation rows, is computed once per shape and sign
-function and cached; every build scatters the stored values through it, and
-the square system, :func:`det_sr` and the relation checks all read it.
+function and cached; every build scatters the stored values through it
+entry by entry, and the square system, :func:`det_sr` (through the per-block
+view of the same layout) and the relation checks all read it.
 """
 
 from __future__ import annotations
@@ -65,8 +69,11 @@ def _incidence_pattern(r: int, d: int, q: int, sign):
 
     Maps every sorted r-tuple T to ``(column of T, ((first row of block M,
     negate), ...))``, one pair per equation M = T - {i}, where ``negate`` is
-    ``sign(M, i) < 0``; also returns the row labels ((M, coordinate), ...),
-    the column labels (the r-tuples) and the relation rows: for every
+    ``sign(M, i) < 0``.  Also returns, for each of the C(q-1, r-1) blocks M
+    that avoid particle q, its slots ``((column, T, negate), ...)`` ordered by
+    i, so the last one is the head M + {q}; they share the column numbers and
+    the r-tuples of the column labels.  Then the row labels ((M, coordinate),
+    ...), the column labels (the r-tuples) and the relation rows: for every
     (r-2)-subset N, the d rows sum over i of sign(N, i) * rows(sorted(N + {i})).
     Each tuple N + {i, j} is reached once through i and once through j, and
     the two terms cancel when the rows were built with the same sign function,
@@ -77,12 +84,20 @@ def _incidence_pattern(r: int, d: int, q: int, sign):
     equations = subsets_colex(q, r - 1)
     col_labels = subsets_colex(q, r)
     block_row = {m: b * d for b, m in enumerate(equations)}
+    # one (first row, negate) pair object per block and sign, shared by its slots
+    pairs = {m: ((base, False), (base, True)) for m, base in block_row.items()}
+    # colex order lists the blocks avoiding q first, and within a block the
+    # columns M + {i} by increasing i
+    blocks = [[] for _ in range(comb(q - 1, r - 1))]
     pattern = {}
     for j, t in enumerate(col_labels):
         slots = []
         for p, i in enumerate(t):
             m = t[:p] + t[p + 1 :]
-            slots.append((block_row[m], sign(m, i) < 0))
+            base, negate = slot = pairs[m][sign(m, i) < 0]
+            slots.append(slot)
+            if q not in m:
+                blocks[base // d].append((j, t, negate))
         pattern[t] = (j, tuple(slots))
     row_labels = tuple((m, coord) for m in equations for coord in range(1, d + 1))
     relations = []
@@ -93,7 +108,8 @@ def _incidence_pattern(r: int, d: int, q: int, sign):
             if i not in anchor
         ]
         relations.extend({base + coord: s for base, s in terms} for coord in range(d))
-    return pattern, row_labels, col_labels, Matrix._from_sparse(relations, len(row_labels))
+    blocks = tuple(map(tuple, blocks))
+    return pattern, blocks, row_labels, col_labels, Matrix._from_sparse(relations, len(row_labels))
 
 
 def _incidence_rows(values, r: int, d: int, q: int, sign) -> SystemMatrix:
@@ -102,7 +118,7 @@ def _incidence_rows(values, r: int, d: int, q: int, sign) -> SystemMatrix:
     sorted(M + {i}) holds sign(M, i) * values[sorted(M + {i})], where ``values``
     maps sorted r-tuples to d-vectors.  Only the stored slots are visited;
     rows, columns, signs and labels come from :func:`_incidence_pattern`."""
-    pattern, row_labels, col_labels, _ = _incidence_pattern(r, d, q, sign)
+    pattern, _, row_labels, col_labels, _ = _incidence_pattern(r, d, q, sign)
     rows = [{} for _ in row_labels]
     for key, vec in values.items():
         j, slots = pattern[key]
@@ -137,34 +153,41 @@ def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
 
 
 def det_sr(v: VectorConfiguration) -> Fraction:
-    """Exact determinant of the square system built from ``v``, via the Schur complement S above."""
+    """Exact determinant of the square system built from ``v``, via the Schur complement S above.
+
+    S is built one block M at a time, from the block's slots in the cached
+    layout: the head u = v[M + {q}] gives the pivot a = u[k0], and each
+    k != k0 gives one row of S as one dict, a * w[k] - u[k] * w[k0] (negated
+    where the slot's sign is) over the block's stored vectors w.  A missing
+    or zero head returns 0 before any row is built."""
     r, d, q = _square_shape(v)
-    pattern, _, cols, _ = _incidence_pattern(r, d, q, term_sign)
-    blocks = comb(q - 1, r - 1)
-    n = len(cols) - blocks
-    e = (d - 1) * blocks * (blocks - 1) // 2 + blocks * (term_sign(cols[-1][:-1], q) < 0)
-    heads = []  # per block M: (a, k0, ((row of S, u[k], k) for k != k0))
-    for b, t in enumerate(cols[n:]):
-        u = v.entries.get(t, ())
-        k0 = next((k for k, x in enumerate(u) if x), None)
-        if k0 is None:  # no head, or a zero one: a zero column
+    blocks = _incidence_pattern(r, d, q, term_sign)[1]
+    get = v.entries.get
+    e = (d - 1) * len(blocks) * (len(blocks) - 1) // 2
+    pivots = []
+    rows = []
+    for slots in blocks:
+        _, head, negate_head = slots[-1]
+        u = get(head, ())
+        for k0, a in enumerate(u):
+            if a:
+                break
+        else:  # no head, or a zero one: a zero column
             return Fraction(0)
-        e += d - 1 - k0
-        others = tuple((b * (d - 1) + k - (k > k0), x, k) for k, x in enumerate(u) if k != k0)
-        heads.append((u[k0], k0, others))
-    rows = [{} for _ in range(n)]
-    for t, w in v.entries.items():
-        j, slots = pattern[t]
-        if j < n:
-            for base, negate in slots:
-                a, k0, others = heads[base // d]
-                y = w[k0]
-                for row, c, k in others:
-                    x = a * w[k] - c * y
-                    if x:
-                        rows[row][j] = -x if negate else x
-    value = det_exact(Matrix._from_sparse(rows, n)) * (-1 if e & 1 else 1)
-    return value if d == 2 else value * Fraction(prod(a for a, _, _ in heads)) ** (2 - d)
+        e += d - 1 - k0 + negate_head
+        pivots.append(a)
+        # the head's own entry is a * u[k] - u[k] * a = 0, so it drops out
+        for k, c in enumerate(u):
+            if k != k0:
+                rows.append({
+                    j: -x if negate else x
+                    for j, t, negate in slots
+                    if (w := get(t)) and (x := a * w[k] - c * w[k0])
+                })
+    value = det_exact(Matrix._from_sparse(rows, comb(q - 1, r)))
+    if e & 1:
+        value = -value
+    return value if d == 2 else value * Fraction(prod(pivots)) ** (2 - d)
 
 
 def check_dependence_relations(v, lam: CoefficientSystem) -> bool:

@@ -506,3 +506,40 @@ def test_det_sr_eliminates_only_the_schur_complement(monkeypatch):
         seen.clear()
         assert det_sr(v.with_slot(heads(r, d)[-1], (0,) * d)) == det_sr(zero_head) == 0
         assert seen == []
+
+
+@pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_det_sr_on_an_empty_block_and_a_zero_middle_head(monkeypatch, r, d):
+    import equidet.detmap as detmap
+
+    seen = []
+
+    def recorder(m):
+        seen.append((m.rows, m.cols))
+        return det_exact(m)
+
+    monkeypatch.setattr(detmap, "det_exact", recorder)
+    rng = random.Random(f"schur-empty-{r}-{d}")
+    q = r * d
+    v = random_configuration(r, d, 5, rng)
+    for t in heads(r, d):
+        v = v.with_slot(t, tuple(rng.choice((-3, -1, 2, 5)) for _ in range(d)))
+    # a block avoiding q from the middle of the colex order, neither first nor last
+    blocks = subsets_colex(q - 1, r - 1)
+    m = blocks[len(blocks) // 2]
+    assert 0 < blocks.index(m) < len(blocks) - 1
+    # every slot of block M but its head zeroed: the block's d-1 rows of S are empty
+    empty = v
+    for i in range(1, q):
+        if i not in m:
+            empty = empty.with_slot(tuple(sorted(m + (i,))), (0,) * d)
+    assert empty.get(m + (q,)) == v.get(m + (q,)) != (0,) * d
+    seen.clear()
+    assert det_sr(empty) == whole_system_det(empty) == 0
+    assert seen == [(comb(q - 1, r), comb(q - 1, r))]
+    # block M's head stored as a zero vector: a zero column, and no elimination runs
+    zero_head = VectorConfiguration._from_checked(r, d, q, {**v.entries, m + (q,): (0,) * d})
+    seen.clear()
+    assert det_sr(zero_head) == 0
+    assert seen == []
+    assert whole_system_det(zero_head) == 0
