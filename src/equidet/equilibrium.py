@@ -2,9 +2,11 @@
 
 For a force system on q particles there is one d-row vector equation per
 (r-1)-subset M of {1..q}: the unknown attached to M + {i} multiplies the
-force value read at the written order M + (i,).  The rows come from the
-equation builder shared with ``detmap``, and the sign of that written order
-also combines them in :func:`row_dependence_holds`.
+force value read at the written order M + (i,).  That written order is the
+package's one sign convention: the rows come from ``detmap``'s one cached
+layout per shape, which a configuration of the same shape reads too (its
+square system is these rows up to one sign per block and per column), and
+the same sign combines them in :func:`row_dependence_holds`.
 
 When q > r*d the solver eliminates only the first k = r*d + 1 particles and
 certifies on the full system.  Their C(k, r) unknowns come first in colex
@@ -49,7 +51,7 @@ def build_equilibrium_system(f: ForceSystem) -> EquilibriumSystem:
     """All per-tuple force-balance equations for ``f``, full and reduced."""
     _check_forces(f)
     r, d, q = f.r, f.d, f.q
-    full = detmap._incidence_rows(f.canonical, r, d, q, detmap._order_sign)
+    full = detmap._incidence_rows(f.canonical, r, d, q)
     return EquilibriumSystem(
         r=r,
         d=d,
@@ -108,7 +110,7 @@ def row_dependence_holds(f: ForceSystem) -> bool:
     i in the sorted tuple) is the zero row, for any force system.  This is
     what justifies dropping the equations that mention particle q.
     """
-    relations = detmap._incidence_pattern(f.r, f.d, f.q, detmap._order_sign)[-1]
+    relations = detmap._incidence_pattern(f.r, f.d, f.q)[-1]
     return not any((relations * build_equilibrium_system(f).full_matrix).sparse)
 
 

@@ -163,12 +163,12 @@ class ForceSystem:
 
     def to_configuration(self) -> VectorConfiguration:
         """Reindex as a configuration: each sorted tuple T is scaled by
-        (-1) ** (sum(T) + r - 1).
+        (-1) ** (sum(T) + r - 1), the column sign Tau of :mod:`equidet.detmap`.
 
-        Per-slot sign flips never change whether the system determinant
-        vanishes (the map is linear in every slot), so this fixed convention
-        is safe; it makes the equilibrium equations and the square-system
-        rows agree up to one overall sign per row block.
+        Tau is its own inverse, so the result's square system, D * Force * Tau
+        on its values, is this system's leading equilibrium rows with the
+        blocks M of even sum negated (D): the two determinants differ only in
+        sign, and so vanish together.
         """
         entries = {}
         for key, vec in self.canonical.items():

@@ -21,3 +21,24 @@ def corrupt_prefix_vectors(monkeypatch):
         monkeypatch.setattr(equilibrium, "kernel_vector", corrupted)
 
     return patch
+
+
+@pytest.fixture
+def patch_order_sign(monkeypatch):
+    """Call with a sign function to put it in place of ``detmap._order_sign``;
+    the call returns an undo.  The cached layout holds the signs, so it is
+    cleared at the patch and again at the undo, which teardown also runs, so
+    no corrupted layout outlives the test."""
+    import equidet.detmap as detmap
+
+    def undo():
+        monkeypatch.undo()
+        detmap._incidence_pattern.cache_clear()
+
+    def patch(sign):
+        detmap._incidence_pattern.cache_clear()
+        monkeypatch.setattr(detmap, "_order_sign", sign)
+        return undo
+
+    yield patch
+    undo()

@@ -476,10 +476,8 @@ def test_selfcheck_parallel_matches_sequential(capsys):
     assert capsys.readouterr().out == seq
 
 
-def test_selfcheck_detects_corrupted_signs(monkeypatch, capsys):
-    import equidet.detmap as detmap
-
-    monkeypatch.setattr(detmap, "term_sign", lambda equation_tuple, i: 1)
+def test_selfcheck_detects_corrupted_signs(patch_order_sign, capsys):
+    patch_order_sign(lambda equation_tuple, i: 1)
     assert main(["selfcheck", "--trials", "2", "--seed", "5"]) == 1
     out = capsys.readouterr().out
     assert "FAIL" in out

@@ -18,19 +18,15 @@ from equidet import (
     det_sr,
     insert_position,
     kernel_basis,
+    permutation_sign,
     random_coefficients,
     random_configuration,
     random_force_system,
     row_dependence_holds,
+    solve_nontrivial,
     subsets_colex,
 )
-from equidet.detmap import (
-    _incidence_pattern,
-    _incidence_rows,
-    _order_sign,
-    _reduced_rows,
-    term_sign,
-)
+from equidet.detmap import _incidence_pattern, _incidence_rows, _order_sign, _reduced_rows
 
 # Independent cofactor oracle computed before the builder existed: the
 # basis-pattern configuration below has determinant -1.
@@ -50,6 +46,17 @@ def det_cofactor(rows):
         minor = [r[:j] + r[j + 1 :] for r in rows[1:]]
         total += (-1) ** j * rows[0][j] * det_cofactor(minor)
     return total
+
+
+def written_order_sign(m, i):
+    """Oracle for a force system's terms: the sign of the permutation sorting M + (i,)."""
+    return permutation_sign(m + (i,))
+
+
+def configuration_sign(m, i):
+    """Oracle for a configuration's terms: (-1) ** (i + p), p the 1-based slot
+    of i in sorted(M + {i})."""
+    return (-1) ** (i + insert_position(m, i))
 
 
 def reference_rows(get, r, d, q, eq_q, sign):
@@ -109,7 +116,7 @@ def test_labels_and_shape():
 @pytest.mark.parametrize("kind", ["int", "sparse_fraction"])
 @pytest.mark.parametrize("r,d", [(2, 2), (3, 2), (4, 2)])
 def test_system_matrix_holds_accessor_values(r, d, kind):
-    # every cell of the square system, against term_sign and the accessor
+    # every cell of the square system, against the configuration oracle and the accessor
     rng = random.Random(50 + r)
     q = r * d
     if kind == "int":
@@ -120,7 +127,7 @@ def test_system_matrix_holds_accessor_values(r, d, kind):
             for t in combinations(range(1, q + 1), r)
             if rng.random() < 0.3
         })
-    assert build_system_matrix(v).matrix.data == reference_rows(v.get, r, d, q, q - 1, term_sign)
+    assert build_system_matrix(v).matrix.data == reference_rows(v.get, r, d, q, q - 1, configuration_sign)
 
 
 def test_pair_row_block_sign_pattern():
@@ -239,7 +246,7 @@ def test_dependence_relations_force_form():
 
 
 @pytest.mark.parametrize("form", ["configuration", "forces"])
-def test_dependence_relations_detect_corrupted_sign_table(monkeypatch, form):
+def test_dependence_relations_detect_corrupted_sign_table(patch_order_sign, form):
     # designed sensitivity: corrupting the per-term sign must break cancellation
     import equidet.detmap as detmap
 
@@ -247,15 +254,14 @@ def test_dependence_relations_detect_corrupted_sign_table(monkeypatch, form):
     if form == "configuration":
         x = random_configuration(2, 2, 5, rng)
         lam = random_coefficients(2, 4, 5, rng)
-        sign_name = "term_sign"
     else:
-        # at r = 2 every force term keeps its written order (sign +1), so r = 3
+        # r = 3, where the relation rows' own signs vary too (at r = 2 their
+        # anchor is empty and every relation sign is +1)
         x = random_force_system(3, 2, 6, 5, rng)
         lam = random_coefficients(3, 6, 5, rng)
-        sign_name = "_order_sign"
         assert row_dependence_holds(x)
     assert check_dependence_relations(x, lam)
-    monkeypatch.setattr(detmap, sign_name, lambda equation_tuple, i: 1)
+    patch_order_sign(lambda equation_tuple, i: 1)
     assert not detmap.check_dependence_relations(x, lam)
     if form == "forces":
         assert not row_dependence_holds(x)
@@ -268,13 +274,18 @@ def test_relation_mismatched_arity_rejected():
         check_dependence_relations(cfg, lam)
 
 
-def test_term_sign_matches_insert_position():
+def test_order_sign_is_the_sorting_permutation_sign():
+    # and a configuration's term is it times D (block M of even sum negated)
+    # and Tau (column T negated when sum(T) + r - 1 is odd)
     for q in range(1, 8):
         for size in range(q):
             for m in combinations(range(1, q + 1), size):
                 for i in range(1, q + 1):
                     if i not in m:
-                        assert term_sign(m, i) == (-1) ** (i + insert_position(m, i))
+                        assert _order_sign(m, i) == permutation_sign(m + (i,))
+                        block = -1 if sum(m) % 2 == 0 else 1
+                        column = -1 if (sum(m) + i + size) % 2 else 1
+                        assert configuration_sign(m, i) == _order_sign(m, i) * block * column
 
 
 def _round_trip_entries(kind, values, rng):
@@ -338,41 +349,44 @@ def test_cached_builder_matches_uncached_reference_on_every_small_shape(form, en
                 ints = {t: tuple(rng.randint(-5, 5) for _ in range(d)) for t in subsets_colex(q, r)}
                 values = _round_trip_entries(entries, ints, rng)
                 if form == "configuration":
-                    x, sign = VectorConfiguration(r, d, q, values), term_sign
+                    x = VectorConfiguration(r, d, q, values)
                     stored = x.entries
                 else:
-                    x, sign = ForceSystem(r, d, q, values), _order_sign
+                    x = ForceSystem(r, d, q, values)
                     stored = x.canonical
-                full = _incidence_rows(stored, r, d, q, sign)
+                full = _incidence_rows(stored, r, d, q)
                 # the full rows, then their leading rows: the equations avoiding q
                 for eq_q, system in ((q, full), (q - 1, _reduced_rows(full, r, d, q))):
                     m = system.matrix
                     assert (m.rows, m.cols) == (d * comb(eq_q, r - 1), comb(q, r))
                     assert all(all(row.values()) for row in m.sparse)  # nonzeros only
-                    assert m.data == reference_rows(x.get, r, d, q, eq_q, sign), (r, d, q, eq_q)
+                    expected = reference_rows(x.get, r, d, q, eq_q, written_order_sign)
+                    assert m.data == expected, (r, d, q, eq_q)
+                if form == "configuration" and q == r * d:
+                    # the square system: the leading rows with D and Tau applied
+                    m = build_system_matrix(x).matrix
+                    assert all(all(row.values()) for row in m.sparse)
+                    assert m.data == reference_rows(x.get, r, d, q, q - 1, configuration_sign), (r, d)
 
 
 @pytest.mark.parametrize("form", ["configuration", "forces"])
-def test_cached_layout_is_never_shared_or_stale(monkeypatch, form):
-    import equidet.detmap as detmap
-
+def test_cached_layout_is_never_shared_or_stale(patch_order_sign, form):
     rng = random.Random(f"isolation-{form}")
     r, d, q = 3, 2, 6
     if form == "configuration":
         x = random_configuration(r, d, 5, rng)
-        values, sign_name = x.entries, "term_sign"
+        values = x.entries
     else:
         x = random_force_system(r, d, q, 5, rng)
-        values, sign_name = x.canonical, "_order_sign"
-    sign = getattr(detmap, sign_name)
+        values = x.canonical
 
     def build_rows(eq_q):
-        system = _incidence_rows(values, r, d, q, sign)
+        system = _incidence_rows(values, r, d, q)
         return (system if eq_q == q else _reduced_rows(system, r, d, q)).matrix
 
     # leading (q - 1) and full (q) equation ranges: fresh rows on every build
     for eq_q in (q - 1, q):
-        expected = reference_rows(x.get, r, d, q, eq_q, sign)
+        expected = reference_rows(x.get, r, d, q, eq_q, written_order_sign)
         first = build_rows(eq_q)
         second = build_rows(eq_q)
         assert {id(row) for row in first.sparse}.isdisjoint(id(row) for row in second.sparse)
@@ -382,26 +396,31 @@ def test_cached_layout_is_never_shared_or_stale(monkeypatch, form):
         assert build_rows(eq_q).data == expected
 
     # the relation rows cached with the layout are shared, read and never written
-    relations = _incidence_pattern(r, d, q, sign)[-1]
+    relations = _incidence_pattern(r, d, q)[-1]
     snapshot = [dict(row) for row in relations.sparse]
     assert check_dependence_relations(x, random_coefficients(r, q, 5, rng))
     if form == "forces":
         assert row_dependence_holds(x)
-    assert _incidence_pattern(r, d, q, sign)[-1] is relations
+    assert _incidence_pattern(r, d, q)[-1] is relations
     assert relations.sparse == snapshot
 
-    # a patched sign function is a new cache key, and unpatching restores the original
+    # a patched sign reaches a cleared layout, and unpatching restores the original
     def build(obj):
         if form == "configuration":
             return build_system_matrix(obj).matrix.data
         return build_equilibrium_system(obj).full_matrix.data
 
-    eq_q = q - 1 if form == "configuration" else q
-    original = reference_rows(x.get, r, d, q, eq_q, sign)
     flat = lambda equation_tuple, i: 1  # noqa: E731
-    monkeypatch.setattr(detmap, sign_name, flat)
-    assert build(x) == reference_rows(x.get, r, d, q, eq_q, flat) != original
-    monkeypatch.undo()
+    if form == "configuration":
+        # a configuration's terms carry D * Tau, its sign over the written-order one
+        eq_q, sign = q - 1, configuration_sign
+        patched = lambda m, i: flat(m, i) * configuration_sign(m, i) * written_order_sign(m, i)  # noqa: E731
+    else:
+        eq_q, sign, patched = q, written_order_sign, flat
+    original = reference_rows(x.get, r, d, q, eq_q, sign)
+    undo = patch_order_sign(flat)
+    assert build(x) == reference_rows(x.get, r, d, q, eq_q, patched) != original
+    undo()
     assert build(x) == original
 
 
@@ -418,8 +437,27 @@ def test_one_cached_layout_per_configuration_shape(r, d):
     assert _incidence_pattern.cache_info().currsize == 1
 
 
-# (1, 2) and (1, 4) are the shapes here with s = term_sign(M, q) = -1 over an odd
-# number N of blocks, so s^N = -1
+@pytest.mark.parametrize("r, d, q", [(1, 3, 3), (2, 2, 4), (2, 2, 6), (3, 2, 6), (3, 2, 8), (2, 3, 7)])
+def test_one_cached_layout_per_shape_for_both_conventions(r, d, q):
+    # a configuration and a force system of one shape read the same layout:
+    # one cache entry, not one per sign convention
+    rng = random.Random(f"one-layout-both-{r}-{d}-{q}")
+    v = VectorConfiguration(r, d, q, random_force_system(r, d, q, 5, rng).canonical)
+    f = random_force_system(r, d, q, 5, rng)
+    _incidence_pattern.cache_clear()
+    if q == r * d:
+        det_sr(v)
+        build_system_matrix(v)
+    assert check_dependence_relations(v, random_coefficients(r, q, 5, rng))
+    build_equilibrium_system(f)
+    solve_nontrivial(f)
+    assert row_dependence_holds(f)
+    assert check_dependence_relations(f, random_coefficients(r, q, 5, rng))
+    assert _incidence_pattern.cache_info().currsize == 1
+
+
+# the shapes here whose det(D) is -1 are (1, 1), (1, 3), (1, 5) and (5, 1), and
+# those whose det(Tau) is -1 are (1, 1), (1, 2), (1, 5) and (5, 1)
 SQUARE_SHAPES = [
     (1, 1), (1, 2), (1, 3), (1, 4), (1, 5), (2, 1), (2, 2), (2, 3), (2, 4),
     (3, 1), (3, 2), (3, 3), (4, 2), (5, 1),
