@@ -8,17 +8,22 @@ layout per shape, which a configuration of the same shape reads too (its
 square system is these rows up to one sign per block and per column), and
 the same sign combines them in :func:`row_dependence_holds`.
 
-When q > r*d the solver eliminates only the first k = r*d + 1 particles and
-certifies on the full system.  Their C(k, r) unknowns come first in colex
-order and meet only the first d * C(k, r-1) rows, whose rank the row
-dependences cap at d * C(k-1, r-1) = (rd / (rd+1)) * C(k, r) < C(k, r).  So that
-prefix system always has a kernel vector, and padded with zeros it is the
-full system's first kernel vector.  Every answer is still checked on the full
-matrix, and "no solution" only ever comes from eliminating the full system
-(k = q when q <= r*d + 1).  The reduced system (equations avoiding particle q)
-is the full one's leading rows; its agreement with it is checked by rank, and
-the full rows are eliminated only when the reduced ones fall short of full
-column rank.
+When q > r*d the solver eliminates only the equations avoiding particle
+k = r*d + 1 among the first k particles, and certifies on the full system.
+The C(k, r) unknowns of the first k particles come first in colex order and
+meet only the first d * C(k, r-1) rows.  On those columns the row dependence
+of each (r-2)-subset N of {1..k-1} makes block N + {k} a ±1 combination of
+the blocks N + {i}, i < k (its blocks with i > k have no entry there), so the
+n = d * C(k-1, r-1) rows of the blocks avoiding k, listed first, keep the
+same kernel.  They hold at most n pivots, so the first free column is among
+the first n + 1 columns, and C(k, r) - n = C(r*d, r-1) / r >= 1 keeps those
+inside the first k particles.  So that n x (n+1) system always has a kernel
+vector, and padded with zeros it is the full system's first kernel vector.
+Every answer is still checked on the full matrix, and "no solution" only ever
+comes from eliminating the full system (q <= r*d).  The reduced system
+(equations avoiding particle q) is the full one's leading rows; its agreement
+with it is checked by rank, and the full rows are eliminated only when the
+reduced ones fall short of full column rank.
 """
 
 from __future__ import annotations
@@ -67,25 +72,34 @@ def solve_nontrivial(f: ForceSystem):
     """A nonzero symmetric coefficient family solving every equation exactly,
     or None when only the trivial rescaling works.
 
-    Eliminates the system of the first k = min(q, r*d + 1) particles: the
-    first d * C(k, r-1) rows cut to the first C(k, r) columns, whose rank is
-    at most d * C(k-1, r-1) < C(k, r) when k = r*d + 1.  Its first kernel
-    vector, padded with zeros, is the full system's, and it is certified on
-    the full system; ``ArithmeticError`` if any equation is nonzero, or if
-    the prefix of q > r*d particles has no kernel vector."""
+    For q <= r*d it eliminates the full system.  For q > r*d, with
+    k = r*d + 1, it eliminates the n = d * C(k-1, r-1) equations avoiding
+    particle k (the full system's leading rows) cut to their first n + 1
+    columns.  On the first C(k, r) columns, those of the first k particles,
+    each block M containing k is a ±1 combination of the blocks N + {i},
+    i < k, N = M - {k} (the row dependence of N, whose blocks with i > k
+    have no entry there), so the kept rows leave the same first kernel
+    vector.  n rows hold at most n pivots, so its free column is among the
+    first n + 1, and C(k, r) - n = C(r*d, r-1) / r >= 1 keeps those columns
+    inside the first k particles.  The vector, padded with zeros, is the
+    full system's first, and it is certified on the full system;
+    ``ArithmeticError`` if any equation is nonzero, or if the cut system of
+    q > r*d particles has no kernel vector."""
     system = build_equilibrium_system(f)
     full = system.full_matrix
     r, d, q = f.r, f.d, f.q
-    k = min(q, r * d + 1)
-    cols = comb(k, r)
-    rows = full.sparse[: d * comb(k, r - 1)]
-    prefix = Matrix._from_sparse([{j: x for j, x in row.items() if j < cols} for row in rows], cols)
-    vec = kernel_vector(prefix)
-    if vec is None:
-        if k < q:
-            raise ArithmeticError(f"the first {k} particles' system has no kernel vector")
-        return None
-    vec += [0] * (full.cols - prefix.cols)
+    if q <= r * d:
+        vec = kernel_vector(full)
+        if vec is None:
+            return None
+    else:
+        n = d * comb(r * d, r - 1)
+        rows = full.sparse[:n]
+        cut = Matrix._from_sparse([{j: x for j, x in row.items() if j <= n} for row in rows], n + 1)
+        vec = kernel_vector(cut)
+        if vec is None:
+            raise ArithmeticError(f"the cut system of the first {r * d + 1} particles has no kernel vector")
+        vec += [0] * (full.cols - cut.cols)
     if any(full.mul_vec(vec)):
         raise ArithmeticError("kernel vector does not solve the equilibrium system")
     canonical = {t: x for t, x in zip(system.col_labels, vec) if x}

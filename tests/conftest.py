@@ -7,13 +7,20 @@ import pytest
 def corrupt_prefix_vectors(monkeypatch):
     """Call with (r, d) to make the solver's elimination return its kernel
     vector with one coordinate shifted off the kernel; it asserts that only
-    the system of the first r*d + 1 particles reaches it."""
+    the cut system reaches it: the n = d * C(r*d, r-1) equations avoiding
+    particle r*d + 1, which on the first r*d + 1 particles' columns span the
+    row space of all their equations (the row dependences), cut to their
+    first n + 1 columns, which hold a free column since n rows hold at most
+    n pivots."""
     import equidet.equilibrium as equilibrium
     from equidet import kernel_vector
 
     def patch(r, d):
+        n = d * comb(r * d, r - 1)
+
         def corrupted(m):
-            assert m.cols == comb(r * d + 1, r)
+            assert m.rows == n
+            assert m.cols == n + 1
             vec = kernel_vector(m)
             vec[next(j for j in range(m.cols) if any(row.get(j) for row in m.sparse))] += 1
             return vec

@@ -238,9 +238,14 @@ def test_solve_exits_1_when_the_kernel_vector_fails_its_certificate(tmp_path, mo
 
     f = random_force_system(2, 2, 5, 5, random.Random(70))
     matrix = build_equilibrium_system(f).full_matrix
+    # q = 5 > r*d: solve eliminates the n = 8 equations avoiding particle 5,
+    # cut to n + 1 = 9 columns, so the patched vector has that length
+    n = 8
     bad = kernel_vector(matrix)
-    bad[next(j for j in range(matrix.cols) if any(row[j] for row in matrix.data))] += 1
-    assert any(matrix.mul_vec(bad))
+    assert not any(bad[n + 1:])
+    del bad[n + 1:]
+    bad[next(j for j in range(n + 1) if any(row[j] for row in matrix.data))] += 1
+    assert any(matrix.mul_vec(bad + [0] * (matrix.cols - n - 1)))
     monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: list(bad))
     path = tmp_path / "f.json"
     dump_tensor(f, path)

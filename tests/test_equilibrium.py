@@ -130,9 +130,14 @@ def test_solver_rejects_a_kernel_vector_that_does_not_solve_the_system(monkeypat
     f = random_force_system(2, 2, 5, 5, random.Random(70))
     system = build_equilibrium_system(f)
     matrix = system.full_matrix
+    # q = 5 > r*d: the solver eliminates the n = 8 equations avoiding
+    # particle 5, cut to n + 1 = 9 columns, so the patched vector has that length
+    n = 8
     bad = kernel_vector(matrix)
+    assert not any(bad[n + 1:])
+    del bad[n + 1:]
     # shifting a coordinate whose column is nonzero moves A.v off zero
-    bad[next(j for j in range(matrix.cols) if any(row[j] for row in matrix.data))] += 1
+    bad[next(j for j in range(n + 1) if any(row[j] for row in matrix.data))] += 1
     lam = CoefficientSystem(2, 5, {t: x for t, x in zip(system.col_labels, bad) if x})
     assert residual(f, lam) != 0
     monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: list(bad))
@@ -156,6 +161,41 @@ def test_solver_never_reports_unsolvable_from_the_prefix(monkeypatch, r, d, q):
     monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: None)
     with pytest.raises(ArithmeticError, match="no kernel vector"):
         solve_nontrivial(f)
+
+
+# the shapes of test_solver_prefix.py
+PREFIX_SHAPES = [
+    (r, d, q)
+    for r in range(1, 5)
+    for d in range(1, 4)
+    for q in range(r, r * d + 4)
+    if comb(q, r) <= 400
+]
+
+
+def test_solver_eliminates_the_cut_system_only_when_q_exceeds_r_d(monkeypatch):
+    """q > r*d: the n = d * C(r*d, r-1) leading rows, the equations avoiding
+    particle r*d + 1, cut to their first n + 1 columns; q <= r*d: the whole
+    d * C(q, r-1) x C(q, r) system."""
+    import equidet.equilibrium as equilibrium
+    from equidet import kernel_vector
+
+    seen = []
+    monkeypatch.setattr(equilibrium, "kernel_vector", lambda m: seen.append(m) or kernel_vector(m))
+    rng = random.Random(74)
+    for r, d, q in PREFIX_SHAPES:
+        f = random_force_system(r, d, q, 5, rng)
+        full = build_equilibrium_system(f).full_matrix
+        seen.clear()
+        solve_nontrivial(f)
+        (m,) = seen
+        if q > r * d:
+            n = d * comb(r * d, r - 1)
+            assert (m.rows, m.cols) == (n, n + 1)
+            assert m.sparse == [{j: x for j, x in row.items() if j <= n} for row in full.sparse[:n]]
+        else:
+            assert (m.rows, m.cols) == (d * comb(q, r - 1), comb(q, r))
+            assert m.sparse == full.sparse
 
 
 def test_nonzero_determinant_blocks_solutions():

@@ -1,8 +1,13 @@
-"""The solver's prefix elimination against the full-system kernel vector.
+"""The solver's cut elimination against the full-system kernel vector.
 
-For q > r*d the solver eliminates only the first r*d + 1 particles; its
-family must still be exactly the first kernel vector of the full system, on
-every small shape and on integer, fractional, sparse and all-zero forces.
+For q > r*d, with k = r*d + 1, the solver eliminates only the
+n = d * C(k-1, r-1) equations avoiding particle k, cut to their first n + 1
+columns.  On the first k particles' columns the row dependences make every
+equation block containing k a combination of those rows, so they keep the
+kernel, and n rows hold at most n pivots, so the first free column is among
+the first n + 1.  Its family must still be exactly the first kernel vector of
+the full system, on every small shape and on integer, fractional, sparse and
+all-zero forces.
 """
 
 import random
