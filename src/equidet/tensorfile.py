@@ -21,10 +21,10 @@ strictly increasing, 1-based, of length r; duplicates are rejected and
 missing tuples mean the zero vector.  Serialization is canonical: entries
 in colex order, zero vectors omitted, scalars in lowest terms.
 
-The loader checks the document's structure and parses each distinct scalar
-string once, then builds the tensor through the public constructor, so the
-entry rule (sorted in-range keys, vector length, exact scalars, zero vectors
-dropped) is applied by :mod:`equidet.tensors` alone.
+The loader checks only what is JSON's (the object, its fields, r, d and q
+as JSON integers, ``kind``, and each entry an object with list ``idx`` and
+``vec``), parses each distinct scalar string once, and hands the
+``(idx, vector)`` pairs, in one pass, to the entry rule of :mod:`equidet.tensors`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import json
 import re
 from fractions import Fraction
 
-from .tensors import ForceSystem, VectorConfiguration
+from .tensors import ForceSystem, VectorConfiguration, _brief, _vector_entries
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # per integer, numerator or denominator
@@ -44,14 +44,14 @@ _TOO_MANY_DIGITS = "0" * (_MAX_DIGITS + 1)
 def parse_scalar(text) -> int | Fraction:
     """Exact scalar: an ``int`` from a decimal-integer string, a ``Fraction`` from p/q."""
     if not isinstance(text, str) or not _SCALAR_RE.match(text):
-        raise ValueError(f"bad scalar {text!r}: expected an integer or p/q string")
+        raise ValueError(f"bad scalar {_brief(text)}: expected an integer or p/q string")
     num, _, den = text.partition("/")
     if max(len(num.lstrip("-")), len(den)) > _MAX_DIGITS:
         raise ValueError(f"scalar of {len(text)} characters exceeds the {_MAX_DIGITS}-digit limit")
     if not den:
         return int(num)
     if int(den) == 0:
-        raise ValueError(f"bad scalar {text!r}: zero denominator")
+        raise ValueError(f"bad scalar {_brief(text)}: zero denominator")
     return Fraction(int(num), int(den))
 
 
@@ -67,6 +67,16 @@ class _ScalarMemo(dict):
         return value
 
 
+def _entry_pairs(items):
+    """``(idx, vector)`` per item of a document's entries list, each distinct
+    scalar string parsed once."""
+    scalars = _ScalarMemo()
+    for item in items:
+        if not (isinstance(item, dict) and isinstance(item.get("idx"), list) and isinstance(item.get("vec"), list)):
+            raise ValueError(f"bad entry {_brief(item)}: expected {{'idx': [...], 'vec': [...]}}")
+        yield item["idx"], [scalars[x] if type(x) is str else parse_scalar(x) for x in item["vec"]]
+
+
 def tensor_from_json(doc):
     """Build a ForceSystem or VectorConfiguration from a parsed JSON document."""
     if not isinstance(doc, dict):
@@ -76,36 +86,15 @@ def tensor_from_json(doc):
             raise ValueError(f"missing field {field!r}")
     r, d, q = doc["r"], doc["d"], doc["q"]
     for name, value in (("r", r), ("d", d), ("q", q)):
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise ValueError(f"field {name!r} must be a positive integer, got {value!r}")
+        if type(value) is not int:
+            raise ValueError(f"field {name!r} must be an integer, got {_brief(value)}")
     kind = doc["kind"]
     if kind not in ("forces", "configuration"):
-        raise ValueError(f"kind must be 'forces' or 'configuration', got {kind!r}")
+        raise ValueError(f"kind must be 'forces' or 'configuration', got {_brief(kind)}")
     if not isinstance(doc["entries"], list):
         raise ValueError("entries must be a list")
-    entries = {}
-    scalars = _ScalarMemo()
-    for item in doc["entries"]:
-        if not isinstance(item, dict) or "idx" not in item or "vec" not in item:
-            raise ValueError(f"bad entry {item!r}: expected {{'idx': ..., 'vec': ...}}")
-        idx = item["idx"]
-        if (
-            not isinstance(idx, list)
-            or len(idx) != r
-            or any(not isinstance(i, int) or isinstance(i, bool) for i in idx)
-        ):
-            raise ValueError(f"bad idx {idx!r}: expected {r} integers")
-        key = tuple(idx)
-        if key in entries:
-            raise ValueError(f"duplicate idx {key}")
-        vec = item["vec"]
-        if not isinstance(vec, list) or len(vec) != d:
-            raise ValueError(f"bad vec for idx {key}: expected {d} scalars")
-        entries[key] = tuple([scalars[x] if type(x) is str else parse_scalar(x) for x in vec])
-    # tuple validity (increasing, within 1..q) is enforced by the constructors
-    if kind == "forces":
-        return ForceSystem(r, d, q, entries)
-    return VectorConfiguration(r, d, q, entries)
+    cls = ForceSystem if kind == "forces" else VectorConfiguration
+    return cls._from_checked(r, d, q, _vector_entries(r, d, q, _entry_pairs(doc["entries"])))
 
 
 def tensor_to_json(obj) -> dict:

@@ -6,33 +6,41 @@ so those invariants are structural rather than duplicated in storage.
 Absent tuples read as zero.  Instances are treated as immutable after
 construction.
 
-Values are checked once, where they enter the package.  The public
-constructors validate every key and value they are given (sorted in-range
-r-tuples, d-vectors of exact scalars) and drop zero vectors; the file loader
-in :mod:`equidet.tensorfile` builds through them.  Code that builds a tensor
-from values it made itself (the random generators, ``to_configuration``,
-``with_slot``, the solver's coefficient family) stores them through the
-private ``_from_checked`` constructors, which take the mapping as it is:
-every key a sorted in-range r-tuple and every value a nonzero exact d-vector
-(for coefficients, a nonzero exact scalar).
+Values are checked once, where they enter, and each rule has one home:
+``_check_index_sequence`` (r ints in 1..q) for every accessor, ``_check_key``
+(that, strictly increasing) for every key, and ``_vector_entries`` (each key
+once, d exact scalars, zero vectors dropped) for the ``(key, vector)`` pairs
+of the public constructors, ``with_slot`` and :mod:`equidet.tensorfile`.
+Values made or already checked here (the loader's, the random generators',
+``to_configuration``'s, the solver's coefficients) are stored through the
+private ``_from_checked`` constructors, which take the mapping as it is: keys
+sorted in-range r-tuples, values nonzero exact d-vectors (or scalars).
 """
 
 from __future__ import annotations
 
 import sys
 from fractions import Fraction
+from operator import lt
 
-from .combinat import check_sorted_tuple, permutation_sign
+from .combinat import permutation_sign
 from .exact import _check_exact
 
 
+def _brief(value):
+    """``repr(value)`` cut to 60 characters, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def _check_index_sequence(idx, r, q):
+    """``idx`` as a tuple of r values of type ``int`` (no bool), each in 1..q."""
     idx = tuple(idx)
     if len(idx) != r:
-        raise ValueError(f"expected {r} indices, got {idx}")
+        raise ValueError(f"expected {r} indices, got {len(idx)}: {_brief(idx)}")
     for i in idx:
-        if not 1 <= i <= q:
-            raise ValueError(f"index {i} outside 1..{q}")
+        if type(i) is not int or not 1 <= i <= q:
+            raise ValueError(f"index {_brief(i)} is not an int in 1..{_brief(q)}")
     return idx
 
 
@@ -53,35 +61,37 @@ def _check_shape(r, d, q):
     _check_size("r", r)
     _check_size("d", d)
     if r < 1 or d < 1 or q < r:
-        raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={r}, d={d}, q={q}")
+        raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={_brief(r)}, d={_brief(d)}, q={_brief(q)}")
 
 
 def _check_coefficient_shape(r, q):
     _check_size("r", r)
     if r < 1 or q < r:
-        raise ValueError(f"need r >= 1, q >= r, got r={r}, q={q}")
+        raise ValueError(f"need r >= 1, q >= r, got r={_brief(r)}, q={_brief(q)}")
 
 
 def _check_key(key, r, q):
-    """``key`` as a sorted in-range tuple of arity r."""
-    key = check_sorted_tuple(key, q)
-    if len(key) != r:
-        raise ValueError(f"key {key} does not have arity {r}")
+    """``key`` as a strictly increasing tuple that passes the index rule."""
+    key = _check_index_sequence(key, r, q)
+    if not all(map(lt, key, key[1:])):
+        raise ValueError(f"indices must be strictly increasing: {_brief(key)}")
     return key
 
 
-def _vector_entries(r, d, q, entries):
-    """Validated copy of a {sorted r-tuple: d-vector} mapping, zero vectors dropped."""
+def _vector_entries(r, d, q, pairs):
+    """Validated {sorted r-tuple: d-vector} dict from ``(key, vector)`` pairs."""
     _check_shape(r, d, q)
     out = {}
-    for key, vec in (entries or {}).items():
+    zeros = {}  # keys seen with a zero vector, which is not stored
+    for key, vec in pairs:
         key = _check_key(key, r, q)
+        if key in out or key in zeros:
+            raise ValueError(f"repeated key {_brief(key)}")
         vec = tuple(vec)
         if len(vec) != d:
-            raise ValueError(f"vector for {key} has length {len(vec)}, expected {d}")
+            raise ValueError(f"vector for {_brief(key)} has length {len(vec)}, expected {d}")
         _check_exact(*vec)
-        if any(vec):
-            out[key] = vec
+        (out if any(vec) else zeros)[key] = vec
     return out
 
 
@@ -92,7 +102,7 @@ class VectorConfiguration:
         self.r = r
         self.d = d
         self.q = q
-        self.entries = _vector_entries(r, d, q, entries)
+        self.entries = _vector_entries(r, d, q, (entries or {}).items())
 
     @classmethod
     def _from_checked(cls, r: int, d: int, q: int, entries) -> "VectorConfiguration":
@@ -113,7 +123,7 @@ class VectorConfiguration:
         The other entries were validated at construction and are not
         rechecked; a zero vector removes the slot."""
         key = tuple(key)
-        slot = _vector_entries(self.r, self.d, self.q, {key: vec})
+        slot = _vector_entries(self.r, self.d, self.q, [(key, vec)])
         entries = dict(self.entries)
         if slot:
             entries[key] = slot[key]
@@ -140,7 +150,7 @@ class ForceSystem:
         self.r = r
         self.d = d
         self.q = q
-        self.canonical = _vector_entries(r, d, q, canonical)
+        self.canonical = _vector_entries(r, d, q, (canonical or {}).items())
 
     @classmethod
     def _from_checked(cls, r: int, d: int, q: int, canonical) -> "ForceSystem":
@@ -218,7 +228,7 @@ class CoefficientSystem:
         idx = _check_index_sequence(idx, self.r, self.q)
         key = tuple(sorted(idx))
         if len(set(key)) != len(key):
-            raise ValueError(f"repeated index in {idx}")
+            raise ValueError(f"repeated index in {_brief(idx)}")
         return self.canonical.get(key, Fraction(0))
 
     def is_trivial(self) -> bool:

@@ -3,6 +3,7 @@ ValueError, and the CLI answers any small file with an exit code."""
 
 import json
 
+import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from equidet import tensor_from_json
@@ -99,3 +100,30 @@ def test_cli_answers_any_small_file_with_an_exit_code(tmp_path, capsys, text, co
     if code == 2:
         assert captured.err.startswith("error:")
         assert captured.out == ""
+
+
+LONG = "x" * 100_000
+LONG_ECHO_DOCUMENTS = {
+    "string idx": {"r": 2, "d": 1, "q": 3, "kind": "forces", "entries": [{"idx": LONG, "vec": ["1"]}]},
+    "string index": {"r": 2, "d": 1, "q": 3, "kind": "forces", "entries": [{"idx": [LONG, 2], "vec": ["1"]}]},
+    "long idx": {"r": 2, "d": 1, "q": 3, "kind": "forces", "entries": [{"idx": list(range(1, 100_001)), "vec": ["1"]}]},
+    "long unsorted idx": {"r": 100_000, "d": 1, "q": 100_000, "kind": "forces",
+                          "entries": [{"idx": list(range(100_000, 0, -1)), "vec": ["1"]}]},
+    "bad scalar": {"r": 2, "d": 1, "q": 3, "kind": "forces", "entries": [{"idx": [1, 2], "vec": [LONG]}]},
+    "kind": {"r": 2, "d": 1, "q": 3, "kind": LONG, "entries": []},
+    "unknown-key entry": {"r": 2, "d": 1, "q": 3, "kind": "forces", "entries": [{LONG: 1}]},
+    "string r": {"r": LONG, "d": 1, "q": 3, "kind": "forces", "entries": []},
+    "4000-digit negative r": {"r": -int("9" * 4000), "d": 1, "q": 3, "kind": "forces", "entries": []},
+    "4000-digit q": {"r": 2, "d": 1, "q": int("9" * 4000), "kind": "forces", "entries": [{"idx": [0, 1], "vec": ["1"]}]},
+}
+
+
+@pytest.mark.parametrize("command", ["det", "solve"])
+@pytest.mark.parametrize("name", sorted(LONG_ECHO_DOCUMENTS))
+def test_errors_echo_a_bounded_part_of_a_long_value(tmp_path, capsys, name, command):
+    path = tmp_path / "long.json"
+    path.write_text(json.dumps(LONG_ECHO_DOCUMENTS[name]), encoding="utf-8")
+    assert main([command, "--input", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:")
+    assert len(captured.err) < 2000

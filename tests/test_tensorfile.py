@@ -5,7 +5,7 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from equidet import ForceSystem, VectorConfiguration, tensor_from_json, tensor_to_json
+from equidet import ForceSystem, VectorConfiguration, tensor_from_json, tensor_to_json, tensorfile, tensors
 from equidet.tensorfile import dump_tensor, format_scalar, load_tensor, parse_scalar
 
 
@@ -221,10 +221,17 @@ def test_field_order_irrelevant(tmp_path):
 
 def reference_load(path):
     """The loader's contract spelled out: decode, parse every scalar on its
-    own, and build through the public constructor."""
+    own, and build through the public constructor.  A list inside an idx
+    becomes a tuple, so that every key can be hashed, and an idx given twice
+    is refused."""
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
-    entries = {tuple(e["idx"]): tuple(parse_scalar(x) for x in e["vec"]) for e in doc["entries"]}
+    entries = {
+        tuple(tuple(i) if isinstance(i, list) else i for i in e["idx"]): tuple(parse_scalar(x) for x in e["vec"])
+        for e in doc["entries"]
+    }
+    if len(entries) != len(doc["entries"]):
+        raise ValueError("an idx is given twice")
     cls = ForceSystem if doc["kind"] == "forces" else VectorConfiguration
     return cls(doc["r"], doc["d"], doc["q"], entries)
 
@@ -235,6 +242,26 @@ scalar_strings = st.one_of(
     st.integers(-(10**30), 10**30).map(str),
     st.tuples(st.integers(-99, 99), st.integers(1, 99)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
 )
+
+
+@st.composite
+def malformed_entry(draw, r, d, q):
+    """An entry that breaks one rule: an index of the wrong type, the wrong
+    arity, an unsorted or out-of-range key, or a vector one scalar off."""
+    key = list(draw(st.sampled_from(list(combinations(range(1, q + 1), r)))))
+    vec = draw(st.lists(scalar_strings, min_size=d, max_size=d))
+    fault = draw(st.sampled_from(["type", "arity", "order", "range", "length"]))
+    if fault == "type":
+        key[draw(st.integers(0, r - 1))] = draw(st.sampled_from([True, False, 1.0, 2.0, "1", [1], [], None]))
+    elif fault == "arity":
+        key = key[:-1] if draw(st.booleans()) else key + [q + 1]
+    elif fault == "order" and r > 1:
+        key = key[::-1]
+    elif fault in ("order", "range"):
+        key[draw(st.integers(0, r - 1))] = draw(st.sampled_from([0, -1, q + 1]))
+    else:
+        vec = vec[:-1] if draw(st.booleans()) else vec + ["1"]
+    return {"idx": key, "vec": vec}
 
 
 @st.composite
@@ -252,18 +279,61 @@ def valid_documents(draw):
     }
 
 
+@st.composite
+def documents(draw):
+    """A valid document, about half the time with malformed entries put in."""
+    doc = draw(valid_documents())
+    if draw(st.booleans()):
+        for entry in draw(st.lists(malformed_entry(doc["r"], doc["d"], doc["q"]), min_size=1, max_size=2)):
+            doc["entries"].insert(draw(st.integers(0, len(doc["entries"]))), entry)
+    return doc
+
+
 def stored(obj):
     return obj.canonical if isinstance(obj, ForceSystem) else obj.entries
 
 
+def load_or_value_error(load, path):
+    try:
+        return load(path)
+    except ValueError as exc:
+        return exc
+
+
 @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(valid_documents())
+@given(documents())
 def test_load_matches_the_reference_loader(tmp_path, doc):
+    # one entry rule: the loader rejects exactly what the public constructors
+    # reject, and otherwise builds the same tensor
     path = tmp_path / "doc.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    got, want = load_tensor(path), reference_load(path)
+    got, want = load_or_value_error(load_tensor, path), load_or_value_error(reference_load, path)
+    if isinstance(got, ValueError) or isinstance(want, ValueError):
+        assert isinstance(got, ValueError) and isinstance(want, ValueError), (got, want)
+        return
     assert type(got) is type(want)
     assert got == want
     assert {key: [type(x) for x in vec] for key, vec in stored(got).items()} == {
         key: [type(x) for x in vec] for key, vec in stored(want).items()
     }
+
+
+def test_load_checks_each_key_once(tmp_path, monkeypatch):
+    # the entry rule runs once per file, and the key rule once per entry
+    calls = {"entries": 0, "keys": 0}
+
+    def counted(name, function):
+        def wrapper(*args):
+            calls[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(tensorfile, "_vector_entries", counted("entries", tensors._vector_entries))
+    monkeypatch.setattr(tensors, "_check_key", counted("keys", tensors._check_key))
+    doc = make_doc(entries=[{"idx": list(key), "vec": [str(sum(key)), "0"]} for key in combinations(range(1, 5), 2)])
+    path = tmp_path / "forces.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    tensor = load_tensor(path)
+    assert calls == {"entries": 1, "keys": len(doc["entries"])}
+    assert tensor.get((4, 2)) == (-6, 0)

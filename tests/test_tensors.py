@@ -1,9 +1,11 @@
 import random
+from collections.abc import Mapping
 from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations, permutations
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from equidet import (
     CoefficientSystem,
@@ -13,6 +15,7 @@ from equidet import (
     random_force_system,
     subsets_colex,
 )
+from equidet.tensorfile import dump_tensor, load_tensor
 
 
 def test_force_pair_swap():
@@ -248,6 +251,78 @@ def test_with_slot_rejects_what_construction_rejects(key, vec):
         VectorConfiguration(2, 2, 4, {**v.entries, key: vec})
     with pytest.raises(ValueError):
         v.with_slot(key, vec)
+
+
+class PairMapping(Mapping):
+    """A mapping kept as a list of pairs, so its keys need not be hashable."""
+
+    def __init__(self, pairs):
+        self.pairs = list(pairs)
+
+    def __getitem__(self, key):
+        for k, value in self.pairs:
+            if k == key:
+                return value
+        raise KeyError(key)
+
+    def __iter__(self):
+        return (k for k, _ in self.pairs)
+
+    def __len__(self):
+        return len(self.pairs)
+
+
+NON_INT_INDICES = [(True, 2), (1.0, 2), ("1", 2), ([1], 2)]
+
+
+@pytest.mark.parametrize("key", NON_INT_INDICES, ids=["bool", "float", "str", "list"])
+def test_every_entry_point_rejects_non_int_indices(key):
+    # one index rule: r values of type int in 1..q, for constructors, with_slot and get alike
+    calls = [
+        lambda: ForceSystem(2, 1, 3, PairMapping([(key, (1,))])),
+        lambda: VectorConfiguration(2, 1, 3, PairMapping([(key, (1,))])),
+        lambda: CoefficientSystem(2, 3, PairMapping([(key, 1)])),
+        lambda: VectorConfiguration(2, 1, 3, {(1, 3): (1,)}).with_slot(key, (1,)),
+        lambda: ForceSystem(2, 1, 3, {(1, 2): (1,)}).get(key),
+        lambda: VectorConfiguration(2, 1, 3, {(1, 2): (1,)}).get(key),
+        lambda: CoefficientSystem(2, 3, {(1, 2): 1}).get(key),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
+exact_scalars = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=5))
+
+
+@st.composite
+def constructor_calls(draw):
+    """Arguments for a tensor constructor: in-shape about half the time, else
+    with keys and scalars that may be of the wrong type, arity or range."""
+    r, d = draw(st.integers(1, 3)), draw(st.integers(1, 2))
+    q = draw(st.integers(r, 5))
+    keys = st.sampled_from(list(combinations(range(1, q + 1), r)))
+    vectors = st.lists(exact_scalars, min_size=d, max_size=d).map(tuple)
+    if draw(st.booleans()):
+        indices = st.one_of(st.integers(-1, q + 1), st.booleans(), st.sampled_from([1.0, 2.0, "1", None]))
+        keys = st.one_of(keys, st.lists(indices, min_size=r - 1, max_size=r + 1).map(tuple))
+        odd_scalars = st.one_of(exact_scalars, st.sampled_from([0.5, True, "1"]))
+        vectors = st.one_of(vectors, st.lists(odd_scalars, min_size=d - 1, max_size=d + 1).map(tuple))
+    cls = draw(st.sampled_from([ForceSystem, VectorConfiguration]))
+    return cls, r, d, q, draw(st.dictionaries(keys, vectors, max_size=5))
+
+
+@settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(constructor_calls())
+def test_every_constructed_tensor_survives_its_file(tmp_path, call):
+    cls, r, d, q, entries = call
+    try:
+        tensor = cls(r, d, q, entries)
+    except ValueError:
+        return
+    path = tmp_path / "tensor.json"
+    dump_tensor(tensor, path)
+    assert load_tensor(path) == tensor
 
 
 def test_zero_vectors_are_not_stored():
