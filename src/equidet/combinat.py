@@ -17,6 +17,12 @@ from math import comb
 from operator import lt
 
 
+def _brief(value):
+    """``repr(value)`` cut to 60 characters, for an error message."""
+    text = repr(value)
+    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
+
+
 def check_sorted_tuple(t, n=None):
     """Validate a strictly increasing tuple of indices >= 1 (and <= n if given).
 
@@ -24,11 +30,11 @@ def check_sorted_tuple(t, n=None):
     """
     t = tuple(t)
     if t and t[0] < 1:
-        raise ValueError(f"indices must be >= 1: {t}")
+        raise ValueError(f"indices must be >= 1: {_brief(t)}")
     if not all(map(lt, t, t[1:])):
-        raise ValueError(f"indices must be strictly increasing: {t}")
+        raise ValueError(f"indices must be strictly increasing: {_brief(t)}")
     if n is not None and t and t[-1] > n:
-        raise ValueError(f"index {t[-1]} exceeds ground-set size {n}")
+        raise ValueError(f"index {_brief(t[-1])} exceeds ground-set size {_brief(n)}")
     return t
 
 
@@ -41,7 +47,7 @@ def subset_rank(t, n: int) -> int:
 def subset_unrank(rank: int, k: int, n: int):
     """Inverse of :func:`subset_rank`: the k-subset of {1..n} with colex rank ``rank``."""
     if k < 0 or n < 0 or not 0 <= rank < comb(n, k):
-        raise ValueError(f"rank {rank} out of range for {k}-subsets of {{1..{n}}}")
+        raise ValueError(f"rank {_brief(rank)} out of range for {_brief(k)}-subsets of {{1..{_brief(n)}}}")
     out = [0] * k
     r = rank
     c = n
@@ -78,7 +84,7 @@ def permutation_sign(perm) -> int:
     """
     p = list(perm)
     if len(set(p)) != len(p):
-        raise ValueError(f"not a permutation (repeated entries): {p}")
+        raise ValueError(f"not a permutation (repeated entries): {_brief(p)}")
     order = sorted(range(len(p)), key=p.__getitem__)
     swaps = 0
     for i in range(len(order)):
@@ -93,5 +99,5 @@ def insert_position(t, x: int) -> int:
     """1-based slot ``x`` would occupy in sorted(t + (x,)); x must not be in t."""
     t = check_sorted_tuple(t)
     if x in t:
-        raise ValueError(f"{x} already present in {t}")
+        raise ValueError(f"{_brief(x)} already present in {_brief(t)}")
     return bisect_right(t, x) + 1

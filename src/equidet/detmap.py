@@ -23,9 +23,10 @@ e = sum (d-1-k0) + (d-1) N(N-1)/2 + the shape's parity, N = C(q-1, r-1).
 
 Where each nonzero goes, and its sign, depend only on the shape (r, d, q).
 That layout of the full system, with its labels, each block's slots M + {i}
-in order of i (head last, so :func:`det_sr` builds S one block at a time),
-the parity and the ±1 relation rows, is cached per shape; every build
-scatters the stored values through it entry by entry.
+in order of i (head last, so :func:`det_sr` builds S one block at a time)
+and the parity, is cached per shape; every build scatters the stored values
+through it entry by entry.  The ±1 relation rows have a cache of their own,
+which only the two redundancy checks read.
 """
 
 from __future__ import annotations
@@ -65,17 +66,13 @@ def _incidence_pattern(r: int, d: int, q: int):
     ``negate`` = ``_order_sign(M, i) < 0``; for each of the C(q-1, r-1)
     blocks M avoiding q, its slots ``((column, T, negate), ...)`` in order of
     i, head M + {q} last; the parity of det(D) * det(Tau) on the square; the
-    row labels ((M, coordinate), ...); the column labels; and the relation
-    rows, for every (r-2)-subset N the d rows sum over i of
-    _order_sign(N, i) * rows(sorted(N + {i})).  Each N + {i, j} is reached
-    through i and through j and the two terms cancel, so the relation rows
-    times the full system are zero.  Shared: read it, never write it.
+    row labels ((M, coordinate), ...); and the column labels.  Shared: read
+    it, never write it.
     """
     equations = subsets_colex(q, r - 1)
     col_labels = subsets_colex(q, r)
-    block_row = {m: b * d for b, m in enumerate(equations)}
     # one (first row, negate) pair object per block and sign, shared by its slots
-    pairs = {m: ((base, False), (base, True)) for m, base in block_row.items()}
+    pairs = {m: ((b * d, False), (b * d, True)) for b, m in enumerate(equations)}
     # colex order lists the blocks avoiding q first, and within a block the
     # columns M + {i} by increasing i
     blocks = [[] for _ in range(comb(q - 1, r - 1))]
@@ -93,6 +90,18 @@ def _incidence_pattern(r: int, d: int, q: int):
     parity = d * sum(not sum(m) & 1 for m in equations[: len(blocks)])
     parity += sum((sum(t) + r - 1) & 1 for t in col_labels)
     row_labels = tuple((m, coord) for m in equations for coord in range(1, d + 1))
+    return pattern, tuple(map(tuple, blocks)), parity & 1, row_labels, col_labels
+
+
+@lru_cache(maxsize=None)
+def _relation_rows(r: int, d: int, q: int) -> Matrix:
+    """The ±1 relation rows over the full system's rows: for every
+    (r-2)-subset N of {1..q} in colex order, the d rows sum over i of
+    _order_sign(N, i) * rows(sorted(N + {i})).  Each N + {i, j} is reached
+    through i and through j and the two terms cancel, so the relation rows
+    times the full system are zero.  Shared: read it, never write it."""
+    equations = subsets_colex(q, r - 1)
+    block_row = {m: b * d for b, m in enumerate(equations)}
     relations = []
     for anchor in subsets_colex(q, r - 2):
         terms = [
@@ -101,8 +110,7 @@ def _incidence_pattern(r: int, d: int, q: int):
             if i not in anchor
         ]
         relations.extend({base + coord: s for base, s in terms} for coord in range(d))
-    blocks = tuple(map(tuple, blocks))
-    return pattern, blocks, parity & 1, row_labels, col_labels, Matrix._from_sparse(relations, len(row_labels))
+    return Matrix._from_sparse(relations, d * len(equations))
 
 
 def _incidence_rows(values, r: int, d: int, q: int) -> SystemMatrix:
@@ -111,7 +119,7 @@ def _incidence_rows(values, r: int, d: int, q: int) -> SystemMatrix:
     sorted(M + {i}) holds _order_sign(M, i) * values[sorted(M + {i})], where
     ``values`` maps sorted r-tuples to d-vectors.  Only the stored slots are
     visited; rows, columns, signs and labels come from :func:`_incidence_pattern`."""
-    pattern, _, _, row_labels, col_labels, _ = _incidence_pattern(r, d, q)
+    pattern, _, _, row_labels, col_labels = _incidence_pattern(r, d, q)
     rows = [{} for _ in row_labels]
     for key, vec in values.items():
         j, slots = pattern[key]
@@ -206,4 +214,4 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
     values = v.canonical if isinstance(v, ForceSystem) else v.entries
     system = _incidence_rows(values, v.r, v.d, v.q)
     at_lam = system.matrix.mul_vec([lam.canonical.get(t, 0) for t in system.col_labels])
-    return not any(_incidence_pattern(v.r, v.d, v.q)[-1].mul_vec(at_lam))
+    return not any(_relation_rows(v.r, v.d, v.q).mul_vec(at_lam))

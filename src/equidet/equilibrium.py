@@ -8,18 +8,20 @@ layout per shape, which a configuration of the same shape reads too (its
 square system is these rows up to one sign per block and per column), and
 the same sign combines them in :func:`row_dependence_holds`.
 
-When q > r*d the solver eliminates only the equations avoiding particle
-k = r*d + 1 among the first k particles, and certifies on the full system.
-The C(k, r) unknowns of the first k particles come first in colex order and
-meet only the first d * C(k, r-1) rows.  On those columns the row dependence
-of each (r-2)-subset N of {1..k-1} makes block N + {k} a ±1 combination of
-the blocks N + {i}, i < k (its blocks with i > k have no entry there), so the
-n = d * C(k-1, r-1) rows of the blocks avoiding k, listed first, keep the
-same kernel.  They hold at most n pivots, so the first free column is among
-the first n + 1 columns, and C(k, r) - n = C(r*d, r-1) / r >= 1 keeps those
-inside the first k particles.  So that n x (n+1) system always has a kernel
-vector, and padded with zeros it is the full system's first kernel vector.
-Every answer is still checked on the full matrix, and "no solution" only ever
+When q > r*d the solver builds only the columns its vector can touch.  With
+k = r*d + 1, the C(k, r) unknowns of the first k particles come first in
+colex order and meet only the first d * C(k, r-1) rows.  On those columns the
+row dependence of each (r-2)-subset N of {1..k-1} makes block N + {k} a ±1
+combination of the blocks N + {i}, i < k (its blocks with i > k have no entry
+there), so the n = d * C(k-1, r-1) rows of the blocks avoiding k, listed
+first, keep the same kernel.  They hold at most n pivots, so the first free
+column is among the first n + 1 columns, and C(k, r) - n = C(r*d, r-1) / r
+>= 1 keeps those inside the first k particles.  So the solver scatters only
+the stored vectors of the first n + 1 colex r-tuples: all of the full
+system's equations over the only columns where the vector can be nonzero.
+Its first n rows are the n x (n+1) cut, which always has a kernel vector,
+and its product with that vector, padded with zeros, is the full system's,
+so every equation of the full system certifies it.  "No solution" only ever
 comes from eliminating the full system (q <= r*d).  The reduced system
 (equations avoiding particle q) is the full one's leading rows; its agreement
 with it is checked by rank, and the full rows are eliminated only when the
@@ -33,6 +35,7 @@ from math import comb
 from typing import NamedTuple
 
 from . import detmap
+from .combinat import subsets_colex
 from .exact import Matrix, kernel_vector, rank_exact
 from .tensors import CoefficientSystem, ForceSystem, _check_coefficients
 
@@ -73,34 +76,30 @@ def solve_nontrivial(f: ForceSystem):
     or None when only the trivial rescaling works.
 
     For q <= r*d it eliminates the full system.  For q > r*d, with
-    k = r*d + 1, it eliminates the n = d * C(k-1, r-1) equations avoiding
-    particle k (the full system's leading rows) cut to their first n + 1
-    columns.  On the first C(k, r) columns, those of the first k particles,
-    each block M containing k is a ±1 combination of the blocks N + {i},
-    i < k, N = M - {k} (the row dependence of N, whose blocks with i > k
-    have no entry there), so the kept rows leave the same first kernel
-    vector.  n rows hold at most n pivots, so its free column is among the
-    first n + 1, and C(k, r) - n = C(r*d, r-1) / r >= 1 keeps those columns
-    inside the first k particles.  The vector, padded with zeros, is the
-    full system's first, and it is certified on the full system;
-    ``ArithmeticError`` if any equation is nonzero, or if the cut system of
-    q > r*d particles has no kernel vector."""
-    system = build_equilibrium_system(f)
-    full = system.full_matrix
+    k = r*d + 1 and n = d * C(k-1, r-1), it builds every equation of the full
+    system from the stored vectors of the first n + 1 colex r-tuples only, the
+    columns its vector can touch (the module docstring says why), and
+    eliminates the first n rows, the equations avoiding particle k.  The
+    vector, padded with zeros, is the full system's first, and every equation
+    of the full system certifies it.  ``ArithmeticError`` if any equation is
+    nonzero, or if the cut system of q > r*d particles has no kernel vector."""
+    _check_forces(f)
     r, d, q = f.r, f.d, f.q
     if q <= r * d:
-        vec = kernel_vector(full)
+        system = detmap._incidence_rows(f.canonical, r, d, q)
+        vec = kernel_vector(system.matrix)
         if vec is None:
             return None
     else:
         n = d * comb(r * d, r - 1)
-        rows = full.sparse[:n]
-        cut = Matrix._from_sparse([{j: x for j, x in row.items() if j <= n} for row in rows], n + 1)
-        vec = kernel_vector(cut)
+        get = f.canonical.get
+        touched = {t: x for t in subsets_colex(r * d + 1, r)[: n + 1] if (x := get(t))}
+        system = detmap._incidence_rows(touched, r, d, q)
+        vec = kernel_vector(Matrix._from_sparse(system.matrix.sparse[:n], n + 1))
         if vec is None:
             raise ArithmeticError(f"the cut system of the first {r * d + 1} particles has no kernel vector")
-        vec += [0] * (full.cols - cut.cols)
-    if any(full.mul_vec(vec)):
+        vec += [0] * (system.matrix.cols - n - 1)
+    if any(system.matrix.mul_vec(vec)):
         raise ArithmeticError("kernel vector does not solve the equilibrium system")
     canonical = {t: x for t, x in zip(system.col_labels, vec) if x}
     return CoefficientSystem._from_checked(r, q, canonical)
@@ -124,7 +123,7 @@ def row_dependence_holds(f: ForceSystem) -> bool:
     i in the sorted tuple) is the zero row, for any force system.  This is
     what justifies dropping the equations that mention particle q.
     """
-    relations = detmap._incidence_pattern(f.r, f.d, f.q)[-1]
+    relations = detmap._relation_rows(f.r, f.d, f.q)
     return not any((relations * build_equilibrium_system(f).full_matrix).sparse)
 
 

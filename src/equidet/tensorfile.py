@@ -33,7 +33,8 @@ import json
 import re
 from fractions import Fraction
 
-from .tensors import ForceSystem, VectorConfiguration, _brief, _vector_entries
+from .combinat import _brief
+from .tensors import ForceSystem, VectorConfiguration, _vector_entries
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # per integer, numerator or denominator

@@ -23,14 +23,8 @@ import sys
 from fractions import Fraction
 from operator import lt
 
-from .combinat import permutation_sign
+from .combinat import _brief, permutation_sign
 from .exact import _check_exact
-
-
-def _brief(value):
-    """``repr(value)`` cut to 60 characters, for an error message."""
-    text = repr(value)
-    return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
 def _check_index_sequence(idx, r, q):

@@ -33,17 +33,21 @@ def corrupt_prefix_vectors(monkeypatch):
 @pytest.fixture
 def patch_order_sign(monkeypatch):
     """Call with a sign function to put it in place of ``detmap._order_sign``;
-    the call returns an undo.  The cached layout holds the signs, so it is
-    cleared at the patch and again at the undo, which teardown also runs, so
-    no corrupted layout outlives the test."""
+    the call returns an undo.  The cached layout and relation rows hold the
+    signs, so both are cleared at the patch and again at the undo, which
+    teardown also runs, so no corrupted layout outlives the test."""
     import equidet.detmap as detmap
+
+    def clear():
+        detmap._incidence_pattern.cache_clear()
+        detmap._relation_rows.cache_clear()
 
     def undo():
         monkeypatch.undo()
-        detmap._incidence_pattern.cache_clear()
+        clear()
 
     def patch(sign):
-        detmap._incidence_pattern.cache_clear()
+        clear()
         monkeypatch.setattr(detmap, "_order_sign", sign)
         return undo
 

@@ -130,3 +130,21 @@ def test_insert_position_matches_sorted_index():
 def test_insert_position_rejects_member():
     with pytest.raises(ValueError):
         insert_position((2, 5), 5)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: subset_rank(tuple(range(20000, 0, -1)), 10**6),
+        lambda: subset_rank(tuple(range(20000)), 10**6),
+        lambda: permutation_sign(list(range(19999)) + [0]),
+        lambda: insert_position(tuple(range(1, 20001)), 5),
+        lambda: subset_unrank(10**4000, 2, 5),
+    ],
+    ids=["decreasing", "below-one", "repeated", "present", "rank"],
+)
+def test_errors_echo_a_bounded_part_of_a_long_input(call):
+    # a 20,000-entry input, or a 4,001-digit rank, is cut, not echoed whole
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert len(str(caught.value)) < 200

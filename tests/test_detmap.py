@@ -26,7 +26,7 @@ from equidet import (
     solve_nontrivial,
     subsets_colex,
 )
-from equidet.detmap import _incidence_pattern, _incidence_rows, _order_sign, _reduced_rows
+from equidet.detmap import _incidence_pattern, _incidence_rows, _order_sign, _reduced_rows, _relation_rows
 
 # Independent cofactor oracle computed before the builder existed: the
 # basis-pattern configuration below has determinant -1.
@@ -395,13 +395,13 @@ def test_cached_layout_is_never_shared_or_stale(patch_order_sign, form):
         assert second.data == expected
         assert build_rows(eq_q).data == expected
 
-    # the relation rows cached with the layout are shared, read and never written
-    relations = _incidence_pattern(r, d, q)[-1]
+    # the cached relation rows are shared, read and never written
+    relations = _relation_rows(r, d, q)
     snapshot = [dict(row) for row in relations.sparse]
     assert check_dependence_relations(x, random_coefficients(r, q, 5, rng))
     if form == "forces":
         assert row_dependence_holds(x)
-    assert _incidence_pattern(r, d, q)[-1] is relations
+    assert _relation_rows(r, d, q) is relations
     assert relations.sparse == snapshot
 
     # a patched sign reaches a cleared layout, and unpatching restores the original
@@ -454,6 +454,27 @@ def test_one_cached_layout_per_shape_for_both_conventions(r, d, q):
     assert row_dependence_holds(f)
     assert check_dependence_relations(f, random_coefficients(r, q, 5, rng))
     assert _incidence_pattern.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3)])
+def test_relation_rows_are_built_only_for_the_redundancy_checks(r, d):
+    # det_sr, the square system and both solver builds never read the relation
+    # rows, so a fresh shape gets them only from the two checks that do
+    rng = random.Random(f"relation-rows-{r}-{d}")
+    q = r * d
+    _incidence_pattern.cache_clear()
+    _relation_rows.cache_clear()
+    det_sr(random_configuration(r, d, 5, rng))
+    build_system_matrix(random_configuration(r, d, 5, rng))
+    for f in (random_force_system(r, d, q, 5, rng), random_force_system(r, d, q + 1, 5, rng)):
+        solve_nontrivial(f)
+        build_equilibrium_system(f)
+    assert _incidence_pattern.cache_info().currsize == 2
+    assert _relation_rows.cache_info().currsize == 0
+    f = random_force_system(r, d, q, 5, rng)
+    assert check_dependence_relations(f, random_coefficients(r, q, 5, rng))
+    assert row_dependence_holds(f)
+    assert _relation_rows.cache_info().currsize == 1
 
 
 # the shapes here whose det(D) is -1 are (1, 1), (1, 3), (1, 5) and (5, 1), and

@@ -7,7 +7,8 @@ equation block containing k a combination of those rows, so they keep the
 kernel, and n rows hold at most n pivots, so the first free column is among
 the first n + 1.  Its family must still be exactly the first kernel vector of
 the full system, on every small shape and on integer, fractional, sparse and
-all-zero forces.
+all-zero forces.  The solver builds only those n + 1 columns, and its vector
+solves every equation of the full system.
 """
 
 import random
@@ -17,7 +18,17 @@ from math import comb
 
 import pytest
 
-from equidet import ForceSystem, build_equilibrium_system, kernel_vector, solve_nontrivial
+import equidet.detmap as detmap
+import equidet.equilibrium as equilibrium
+from equidet import (
+    ForceSystem,
+    build_equilibrium_system,
+    dump_tensor,
+    kernel_vector,
+    solve_nontrivial,
+    subsets_colex,
+)
+from equidet.cli import main
 
 SHAPES = [
     (r, d, q)
@@ -58,3 +69,56 @@ def test_solver_matches_the_full_system_kernel_vector(r, d, q, kind):
         assert lam is None
     else:
         assert lam.canonical == {t: x for t, x in zip(system.col_labels, vec) if x}
+
+
+OVERDET = [(r, d, q) for r, d, q in SHAPES if q > r * d]
+OVERDET_IDS = [f"r{r}-d{d}-q{q}" for r, d, q in OVERDET]
+
+
+@pytest.mark.parametrize("r, d, q", OVERDET, ids=OVERDET_IDS)
+def test_solver_scatters_only_the_cut_columns(monkeypatch, r, d, q):
+    # one build, from the stored vectors of the first n + 1 colex r-tuples,
+    # and never the full system
+    n = d * comb(r * d, r - 1)
+    cut = set(subsets_colex(r * d + 1, r)[: n + 1])
+    seen = []
+    build = detmap._incidence_rows
+
+    def recorded(values, *shape):
+        seen.append(dict(values))
+        return build(values, *shape)
+
+    monkeypatch.setattr(detmap, "_incidence_rows", recorded)
+    monkeypatch.setattr(equilibrium, "build_equilibrium_system", None)  # any call fails
+    f = forces(r, d, q, "int", random.Random(2000 * r + 100 * d + q))
+    assert solve_nontrivial(f) is not None
+    (values,) = seen
+    assert len(values) <= n + 1
+    assert set(values) <= cut
+    assert values == {t: x for t, x in f.canonical.items() if t in cut}
+
+
+@pytest.mark.parametrize("kind", ["int", "fraction", "sparse"])
+@pytest.mark.parametrize("r, d, q", OVERDET, ids=OVERDET_IDS)
+def test_solver_vector_solves_every_equation_of_the_full_system(r, d, q, kind):
+    f = forces(r, d, q, kind, random.Random(3000 * r + 100 * d + q))
+    lam = solve_nontrivial(f)
+    system = build_equilibrium_system(f)
+    padded = [lam.canonical.get(t, 0) for t in system.col_labels]
+    n = d * comb(r * d, r - 1)
+    assert any(padded) and not any(padded[n + 1:])
+    assert not any(system.full_matrix.mul_vec(padded))
+
+
+@pytest.mark.parametrize("r, d, q", [(2, 2, 6), (3, 2, 8), (2, 3, 8), (1, 3, 5)])
+def test_a_corrupted_cut_vector_fails_on_fraction_forces(tmp_path, corrupt_prefix_vectors, capsys, r, d, q):
+    f = forces(r, d, q, "fraction", random.Random(4000 * r + 100 * d + q))
+    corrupt_prefix_vectors(r, d)
+    with pytest.raises(ArithmeticError, match="does not solve"):
+        solve_nontrivial(f)
+    path = tmp_path / "f.json"
+    dump_tensor(f, path)
+    assert main(["solve", "--input", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert "internal error" in captured.err
+    assert "SOLVABLE" not in captured.out
