@@ -8,24 +8,26 @@ layout per shape, which a configuration of the same shape reads too (its
 square system is these rows up to one sign per block and per column), and
 the same sign combines them in :func:`row_dependence_holds`.
 
-When q > r*d the solver builds only the columns its vector can touch.  With
-k = r*d + 1, the C(k, r) unknowns of the first k particles come first in
-colex order and meet only the first d * C(k, r-1) rows.  On those columns the
-row dependence of each (r-2)-subset N of {1..k-1} makes block N + {k} a ±1
-combination of the blocks N + {i}, i < k (its blocks with i > k have no entry
-there), so the n = d * C(k-1, r-1) rows of the blocks avoiding k, listed
-first, keep the same kernel.  They hold at most n pivots, so the first free
-column is among the first n + 1 columns, and C(k, r) - n = C(r*d, r-1) / r
->= 1 keeps those inside the first k particles.  So the solver scatters only
-the stored vectors of the first n + 1 colex r-tuples: all of the full
-system's equations over the only columns where the vector can be nonzero.
-Its first n rows are the n x (n+1) cut, which always has a kernel vector,
-and its product with that vector, padded with zeros, is the full system's,
-so every equation of the full system certifies it.  "No solution" only ever
-comes from eliminating the full system (q <= r*d).  The reduced system
-(equations avoiding particle q) is the full one's leading rows; its agreement
-with it is checked by rank, and the full rows are eliminated only when the
-reduced ones fall short of full column rank.
+The solver follows one rule for every q.  With k = min(q, r*d + 1), the
+C(k, r) unknowns of the first k particles come first in colex order and meet
+only the first d * C(k, r-1) rows, the equations of the first k particles.
+On those columns the row dependence of each (r-2)-subset N of {1..k-1} makes
+block N + {k} a ±1 combination of the blocks N + {i}, i < k (its blocks with
+i > k have no entry there), so the n = d * C(k-1, r-1) rows of the blocks
+avoiding k, listed first, span the row space of all of them: the same first
+kernel vector.  For q <= r*d that is the whole system (k = q).  For q > r*d
+they hold at most n pivots, so the first free column is among the first
+n + 1 columns, and C(k, r) - n = C(r*d, r-1) / r >= 1 keeps those inside the
+first k particles.  So the solver scatters only the stored vectors of the
+first m = min(n + 1, C(k, r)) colex r-tuples, eliminates the first n rows
+over those m columns, and certifies the vector, padded with zeros, on every
+equation of the first k particles: all of the full system's equations that
+are nonzero on its columns.  "No solution" only ever comes from eliminating
+all C(q, r) columns, and it is sound without the row dependence, since the n
+rows are rows of the full system.  The reduced system (equations avoiding
+particle q) is the full one's leading rows; its agreement with it is checked
+by rank, and the full rows are eliminated only when the reduced ones fall
+short of full column rank.
 """
 
 from __future__ import annotations
@@ -75,30 +77,28 @@ def solve_nontrivial(f: ForceSystem):
     """A nonzero symmetric coefficient family solving every equation exactly,
     or None when only the trivial rescaling works.
 
-    For q <= r*d it eliminates the full system.  For q > r*d, with
-    k = r*d + 1 and n = d * C(k-1, r-1), it builds every equation of the full
-    system from the stored vectors of the first n + 1 colex r-tuples only, the
-    columns its vector can touch (the module docstring says why), and
-    eliminates the first n rows, the equations avoiding particle k.  The
-    vector, padded with zeros, is the full system's first, and every equation
-    of the full system certifies it.  ``ArithmeticError`` if any equation is
-    nonzero, or if the cut system of q > r*d particles has no kernel vector."""
+    With k = min(q, r*d + 1), n = d * C(k-1, r-1) and m = min(n + 1, C(k, r)),
+    it builds the system of the first k particles from the stored vectors of
+    the first m colex r-tuples only, the columns its vector can touch, and
+    eliminates its first n rows, the equations avoiding particle k (the module
+    docstring says why).  The vector, padded with zeros, is the full system's
+    first, and every equation of the k-system certifies it.
+    ``ArithmeticError`` if any equation is nonzero, or if a cut to fewer than
+    all C(q, r) columns has no kernel vector."""
     _check_forces(f)
     r, d, q = f.r, f.d, f.q
-    if q <= r * d:
-        system = detmap._incidence_rows(f.canonical, r, d, q)
-        vec = kernel_vector(system.matrix)
-        if vec is None:
-            return None
-    else:
-        n = d * comb(r * d, r - 1)
-        get = f.canonical.get
-        touched = {t: x for t in subsets_colex(r * d + 1, r)[: n + 1] if (x := get(t))}
-        system = detmap._incidence_rows(touched, r, d, q)
-        vec = kernel_vector(Matrix._from_sparse(system.matrix.sparse[:n], n + 1))
-        if vec is None:
-            raise ArithmeticError(f"the cut system of the first {r * d + 1} particles has no kernel vector")
-        vec += [0] * (system.matrix.cols - n - 1)
+    k = min(q, r * d + 1)
+    columns = subsets_colex(k, r)
+    n = d * comb(k - 1, r - 1)
+    m = min(n + 1, len(columns))
+    get = f.canonical.get
+    system = detmap._incidence_rows({t: x for t in columns[:m] if (x := get(t))}, r, d, k)
+    vec = kernel_vector(Matrix._from_sparse(system.matrix.sparse[:n], m))
+    if vec is None:
+        if m < comb(q, r):
+            raise ArithmeticError(f"the cut system of the first {k} particles has no kernel vector")
+        return None
+    vec += [0] * (len(columns) - m)
     if any(system.matrix.mul_vec(vec)):
         raise ArithmeticError("kernel vector does not solve the equilibrium system")
     canonical = {t: x for t, x in zip(system.col_labels, vec) if x}

@@ -141,19 +141,31 @@ def test_shape_too_large_to_enumerate_exits_2(tmp_path, capsys, command):
     assert captured.out == ""
 
 
-
-def test_solve_on_a_particle_count_too_large_to_enumerate_exits_2(tmp_path, capsys):
-    # r and d are small, so the file loads; the solver cannot list the tuples over q
+def test_solve_on_a_particle_count_too_large_to_enumerate_is_solvable(tmp_path, capsys):
+    # q > r*d: solve lists only the tuples of the first r*d + 1 particles, so
+    # q itself is never enumerated
     path = tmp_path / "many.json"
     path.write_text(
         json.dumps({"r": 2, "d": 1, "q": 10**25, "kind": "forces", "entries": []}),
         encoding="utf-8",
     )
+    assert main(["solve", "--input", str(path)]) == 0
+    assert capsys.readouterr().out == "SOLVABLE\nlambda[1, 2] = 1\nresidual = 0 (verified)\n"
+
+
+def test_solve_on_a_particle_count_too_large_to_enumerate_exits_2(tmp_path, capsys):
+    # r and q load, but the first r*d + 1 particles are too many to list
+    path = tmp_path / "many.json"
+    path.write_text(
+        json.dumps({"r": 2, "d": 5 * 10**18, "q": 10**25, "kind": "forces", "entries": []}),
+        encoding="utf-8",
+    )
     assert main(["solve", "--input", str(path)]) == 2
     captured = capsys.readouterr()
     assert "error: cannot enumerate" in captured.err
-    assert "has 26 digits" in captured.err
+    assert "has 20 digits" in captured.err
     assert captured.out == ""
+
 
 def test_values_over_4300_digits_print(tmp_path, capsys):
     # 1000-digit entries give a determinant of about 6000 digits, past the
@@ -265,7 +277,7 @@ def test_solve_exits_1_when_the_prefix_vector_fails_its_certificate(
 
     path = tmp_path / "f.json"
     dump_tensor(random_force_system(r, d, q, 5, random.Random(73)), path)
-    corrupt_prefix_vectors(r, d)
+    corrupt_prefix_vectors(r, d, q)
     assert main(["solve", "--input", str(path)]) == 1
     captured = capsys.readouterr()
     assert "internal error" in captured.err

@@ -438,9 +438,10 @@ def test_one_cached_layout_per_configuration_shape(r, d):
 
 
 @pytest.mark.parametrize("r, d, q", [(1, 3, 3), (2, 2, 4), (2, 2, 6), (3, 2, 6), (3, 2, 8), (2, 3, 7)])
-def test_one_cached_layout_per_shape_for_both_conventions(r, d, q):
+def test_one_cached_layout_per_shape_for_both_conventions(assert_cached_layouts, r, d, q):
     # a configuration and a force system of one shape read the same layout:
-    # one cache entry, not one per sign convention
+    # one cache entry, not one per sign convention; solve adds only the layout
+    # of its first min(q, r*d + 1) particles, the same one unless q > r*d + 1
     rng = random.Random(f"one-layout-both-{r}-{d}-{q}")
     v = VectorConfiguration(r, d, q, random_force_system(r, d, q, 5, rng).canonical)
     f = random_force_system(r, d, q, 5, rng)
@@ -453,7 +454,7 @@ def test_one_cached_layout_per_shape_for_both_conventions(r, d, q):
     solve_nontrivial(f)
     assert row_dependence_holds(f)
     assert check_dependence_relations(f, random_coefficients(r, q, 5, rng))
-    assert _incidence_pattern.cache_info().currsize == 1
+    assert_cached_layouts({(r, d, q), (r, d, min(q, r * d + 1))})
 
 
 @pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3)])

@@ -148,7 +148,7 @@ def test_solver_rejects_a_kernel_vector_that_does_not_solve_the_system(monkeypat
 @pytest.mark.parametrize("r, d, q", [(2, 2, 6), (3, 2, 8)])
 def test_solver_certifies_the_prefix_vector_on_the_full_system(corrupt_prefix_vectors, r, d, q):
     f = random_force_system(r, d, q, 5, random.Random(71))
-    corrupt_prefix_vectors(r, d)
+    corrupt_prefix_vectors(r, d, q)
     with pytest.raises(ArithmeticError, match="does not solve"):
         solve_nontrivial(f)
 
@@ -173,10 +173,11 @@ PREFIX_SHAPES = [
 ]
 
 
-def test_solver_eliminates_the_cut_system_only_when_q_exceeds_r_d(monkeypatch):
-    """q > r*d: the n = d * C(r*d, r-1) leading rows, the equations avoiding
-    particle r*d + 1, cut to their first n + 1 columns; q <= r*d: the whole
-    d * C(q, r-1) x C(q, r) system."""
+def test_solver_eliminates_the_rows_avoiding_particle_k_over_m_columns(monkeypatch):
+    """Every shape, one rule: with k = min(q, r*d + 1), the n = d * C(k-1, r-1)
+    leading rows, the equations avoiding particle k, over the first
+    m = min(n + 1, C(k, r)) columns.  Colex order makes them the full
+    system's leading rows too, cut to its first m columns."""
     import equidet.equilibrium as equilibrium
     from equidet import kernel_vector
 
@@ -189,13 +190,11 @@ def test_solver_eliminates_the_cut_system_only_when_q_exceeds_r_d(monkeypatch):
         seen.clear()
         solve_nontrivial(f)
         (m,) = seen
-        if q > r * d:
-            n = d * comb(r * d, r - 1)
-            assert (m.rows, m.cols) == (n, n + 1)
-            assert m.sparse == [{j: x for j, x in row.items() if j <= n} for row in full.sparse[:n]]
-        else:
-            assert (m.rows, m.cols) == (d * comb(q, r - 1), comb(q, r))
-            assert m.sparse == full.sparse
+        k = min(q, r * d + 1)
+        n = d * comb(k - 1, r - 1)
+        cols = min(n + 1, comb(k, r))
+        assert (m.rows, m.cols) == (n, cols)
+        assert m.sparse == [{j: x for j, x in row.items() if j < cols} for row in full.sparse[:n]]
 
 
 def test_nonzero_determinant_blocks_solutions():

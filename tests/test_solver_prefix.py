@@ -1,14 +1,16 @@
-"""The solver's cut elimination against the full-system kernel vector.
+"""The solver's one elimination against the full-system kernel vector.
 
-For q > r*d, with k = r*d + 1, the solver eliminates only the
-n = d * C(k-1, r-1) equations avoiding particle k, cut to their first n + 1
-columns.  On the first k particles' columns the row dependences make every
-equation block containing k a combination of those rows, so they keep the
-kernel, and n rows hold at most n pivots, so the first free column is among
-the first n + 1.  Its family must still be exactly the first kernel vector of
-the full system, on every small shape and on integer, fractional, sparse and
-all-zero forces.  The solver builds only those n + 1 columns, and its vector
-solves every equation of the full system.
+With k = min(q, r*d + 1), the solver eliminates only the n = d * C(k-1, r-1)
+equations avoiding particle k, cut to their first m = min(n + 1, C(k, r))
+columns.  The row dependences make every equation block containing k a
+combination of those rows on the first k particles' columns, so they keep the
+kernel.  For q <= r*d that is the whole system (k = q and m = C(q, r)); for
+q > r*d, n rows hold at most n pivots, so the first free column is among the
+first n + 1, all on the first k particles.  Its family must still be exactly
+the first kernel vector of the full system, on every small shape and on
+integer, fractional, sparse and all-zero forces.  The solver builds only the
+first k particles' system over those m columns, and its vector solves every
+equation of the full system.
 """
 
 import random
@@ -23,6 +25,7 @@ import equidet.equilibrium as equilibrium
 from equidet import (
     ForceSystem,
     build_equilibrium_system,
+    cross_product_forces,
     dump_tensor,
     kernel_vector,
     solve_nontrivial,
@@ -110,10 +113,19 @@ def test_solver_vector_solves_every_equation_of_the_full_system(r, d, q, kind):
     assert not any(system.full_matrix.mul_vec(padded))
 
 
-@pytest.mark.parametrize("r, d, q", [(2, 2, 6), (3, 2, 8), (2, 3, 8), (1, 3, 5)])
-def test_a_corrupted_cut_vector_fails_on_fraction_forces(tmp_path, corrupt_prefix_vectors, capsys, r, d, q):
-    f = forces(r, d, q, "fraction", random.Random(4000 * r + 100 * d + q))
-    corrupt_prefix_vectors(r, d)
+@pytest.mark.parametrize(
+    "r, d, q",
+    [(r, d, q) for r, d, q in OVERDET if q > r * d + 1] + [(3, 2, 30)],
+    ids=[f"r{r}-d{d}-q{q}" for r, d, q in OVERDET if q > r * d + 1] + ["r3-d2-q30"],
+)
+def test_solver_never_builds_the_layout_of_all_q_particles(assert_cached_layouts, r, d, q):
+    f = forces(r, d, q, "int", random.Random(5000 * r + 100 * d + q))
+    detmap._incidence_pattern.cache_clear()
+    assert solve_nontrivial(f) is not None
+    assert_cached_layouts({(r, d, r * d + 1)})
+
+
+def assert_corruption_fails(f, tmp_path, capsys):
     with pytest.raises(ArithmeticError, match="does not solve"):
         solve_nontrivial(f)
     path = tmp_path / "f.json"
@@ -122,3 +134,28 @@ def test_a_corrupted_cut_vector_fails_on_fraction_forces(tmp_path, corrupt_prefi
     captured = capsys.readouterr()
     assert "internal error" in captured.err
     assert "SOLVABLE" not in captured.out
+
+
+@pytest.mark.parametrize("r, d, q", [(2, 2, 6), (3, 2, 8), (2, 3, 8), (1, 3, 5)])
+def test_a_corrupted_cut_vector_fails_on_fraction_forces(tmp_path, corrupt_prefix_vectors, capsys, r, d, q):
+    f = forces(r, d, q, "fraction", random.Random(4000 * r + 100 * d + q))
+    corrupt_prefix_vectors(r, d, q)
+    assert_corruption_fails(f, tmp_path, capsys)
+
+
+# cross-product points: those of the CI's q < r*d solve file, and 9 more
+CROSS_POINTS = [
+    [(i, i * i % 7, (3 * i * i + i) % 5) for i in range(1, 8)],
+    [(i * i % 11, (2 * i**3 + i) % 7 - 3, i - 5) for i in range(1, 10)],
+]
+
+
+@pytest.mark.parametrize("points", CROSS_POINTS, ids=["cross-q7", "cross-q9"])
+def test_a_corrupted_vector_fails_where_q_is_at_most_r_d(tmp_path, corrupt_prefix_vectors, capsys, points):
+    # cross-product forces (r = d = 3) have a kernel at q <= r*d, and the
+    # solver eliminates only the rows avoiding particle q: the vector is still
+    # checked on every row
+    f = cross_product_forces(points)
+    assert solve_nontrivial(f) is not None
+    corrupt_prefix_vectors(3, 3, f.q)
+    assert_corruption_fails(f, tmp_path, capsys)
