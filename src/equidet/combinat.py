@@ -23,12 +23,19 @@ def _brief(value):
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
+def _check_int(i):
+    if type(i) is not int:
+        raise ValueError(f"index {_brief(i)} is not an int")
+
+
 def check_sorted_tuple(t, n=None):
-    """Validate a strictly increasing tuple of indices >= 1 (and <= n if given).
+    """Validate a strictly increasing tuple of ints (no bool) >= 1 (and <= n if given).
 
     Returns the input as a plain tuple.
     """
     t = tuple(t)
+    for i in t:
+        _check_int(i)
     if t and t[0] < 1:
         raise ValueError(f"indices must be >= 1: {_brief(t)}")
     if not all(map(lt, t, t[1:])):
@@ -98,6 +105,7 @@ def permutation_sign(perm) -> int:
 def insert_position(t, x: int) -> int:
     """1-based slot ``x`` would occupy in sorted(t + (x,)); x must not be in t."""
     t = check_sorted_tuple(t)
+    _check_int(x)
     if x in t:
         raise ValueError(f"{_brief(x)} already present in {_brief(t)}")
     return bisect_right(t, x) + 1

@@ -6,10 +6,10 @@ times :func:`_order_sign`, the sign of the permutation sorting the written
 order M + (i,): a force system's equilibrium equation, and the package's one
 sign convention.  For any values x a configuration's system is
 Config(x) = D * Force(x) * Tau, where D negates block M when sum(M) is even
-and Tau negates column T when sum(T) + r - 1 is odd (the scaling of
-``ForceSystem.to_configuration``).  Equations whose tuple contains q are
-redundant (see :func:`check_dependence_relations`) and colex order lists the
-others first, so for q = r*d the square system is the leading
+and Tau negates column T when sum(T) + r - 1 is odd (``tensors._tau``).
+Equations whose tuple contains q are redundant (see
+:func:`check_dependence_relations`) and colex order lists the others first,
+so for q = r*d the square system is the leading
 d * C(q-1, r-1) = C(q, r) rows.  Its determinant, :func:`det_sr`, is linear
 in every slot and vanishes whenever all r-subsets of some r+1 particles
 share one vector.
@@ -39,7 +39,7 @@ from typing import NamedTuple
 
 from .combinat import subsets_colex
 from .exact import Matrix, det_exact
-from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration, _check_coefficients
+from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration, _check_coefficients, _tau, _tau_negates
 
 
 class SystemMatrix(NamedTuple):
@@ -88,7 +88,7 @@ def _incidence_pattern(r: int, d: int, q: int):
         pattern[t] = (j, tuple(slots))
     # D negates d rows per block of even sum among the blocks avoiding q; Tau negates columns
     parity = d * sum(not sum(m) & 1 for m in equations[: len(blocks)])
-    parity += sum((sum(t) + r - 1) & 1 for t in col_labels)
+    parity += sum(_tau_negates(t, r) for t in col_labels)
     row_labels = tuple((m, coord) for m in equations for coord in range(1, d + 1))
     return pattern, tuple(map(tuple, blocks)), parity & 1, row_labels, col_labels
 
@@ -149,11 +149,9 @@ def _square_shape(v) -> tuple:
 
 def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
     """Assemble the square system for a configuration with q = r*d:
-    D * Force(x) * Tau, with Tau applied to the values and D to the rows."""
+    D * Force(x) * Tau, Tau applied to the values (``tensors._tau``), D to the rows."""
     r, d, q = _square_shape(v)
-    # Tau is to_configuration's scaling, its own inverse
-    values = ForceSystem._from_checked(r, d, q, v.entries).to_configuration().entries
-    square = _reduced_rows(_incidence_rows(values, r, d, q), r, d, q)
+    square = _reduced_rows(_incidence_rows(_tau(v.entries, r), r, d, q), r, d, q)
     rows = [row if sum(m) & 1 else {j: -x for j, x in row.items()}
             for row, (m, _) in zip(square.matrix.sparse, square.row_labels)]
     return square._replace(matrix=Matrix._from_sparse(rows, square.matrix.cols))

@@ -6,11 +6,13 @@ so those invariants are structural rather than duplicated in storage.
 Absent tuples read as zero.  Instances are treated as immutable after
 construction.
 
-Values are checked once, where they enter, and each rule has one home:
-``_check_index_sequence`` (r ints in 1..q) for every accessor, ``_check_key``
-(that, strictly increasing) for every key, and ``_vector_entries`` (each key
-once, d exact scalars, zero vectors dropped) for the ``(key, vector)`` pairs
-of the public constructors, ``with_slot`` and :mod:`equidet.tensorfile`.
+Values are checked once, where they enter, and each rule is one function that
+all three kinds share: ``_check_index_sequence`` (r ints in 1..q) for every
+accessor, ``_check_key`` (that, strictly increasing) for every key,
+``_vector_entries`` (shape, each key once, d exact scalars, zero vectors
+dropped) for the ``(key, vector)`` pairs of every public constructor (a
+coefficient is a one-scalar vector), ``with_slot`` and :mod:`equidet.tensorfile`,
+``_tau_negates`` and ``_tau`` for the column sign Tau, ``_same_tensor`` for ``==``.
 Values made or already checked here (the loader's, the random generators',
 ``to_configuration``'s, the solver's coefficients) are stored through the
 private ``_from_checked`` constructors, which take the mapping as it is: keys
@@ -58,12 +60,6 @@ def _check_shape(r, d, q):
         raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={_brief(r)}, d={_brief(d)}, q={_brief(q)}")
 
 
-def _check_coefficient_shape(r, q):
-    _check_size("r", r)
-    if r < 1 or q < r:
-        raise ValueError(f"need r >= 1, q >= r, got r={_brief(r)}, q={_brief(q)}")
-
-
 def _check_key(key, r, q):
     """``key`` as a strictly increasing tuple that passes the index rule."""
     key = _check_index_sequence(key, r, q)
@@ -87,6 +83,22 @@ def _vector_entries(r, d, q, pairs):
         _check_exact(*vec)
         (out if any(vec) else zeros)[key] = vec
     return out
+
+
+def _tau_negates(t, r):
+    """True where Tau, the column sign of :mod:`equidet.detmap`, negates sorted r-tuple ``t``."""
+    return (sum(t) + r - 1) % 2 == 1
+
+
+def _tau(values, r):
+    """``values``, a map from sorted r-tuples to vectors, with each vector
+    negated where :func:`_tau_negates`; Tau is its own inverse."""
+    return {t: tuple(-x for x in vec) if _tau_negates(t, r) else vec for t, vec in values.items()}
+
+
+def _same_tensor(self, other):
+    """``__eq__`` of all three kinds: the same kind, shape and stored values."""
+    return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
 
 class VectorConfiguration:
@@ -125,13 +137,7 @@ class VectorConfiguration:
             entries.pop(key, None)
         return self._from_checked(self.r, self.d, self.q, entries)
 
-    def __eq__(self, other):
-        if not isinstance(other, VectorConfiguration):
-            return NotImplemented
-        return (
-            (self.r, self.d, self.q) == (other.r, other.d, other.q)
-            and self.entries == other.entries
-        )
+    __eq__ = _same_tensor
 
     def __repr__(self):
         return f"VectorConfiguration(r={self.r}, d={self.d}, q={self.q}, {len(self.entries)} nonzero slots)"
@@ -166,29 +172,16 @@ class ForceSystem:
         return tuple(-x for x in vec)
 
     def to_configuration(self) -> VectorConfiguration:
-        """Reindex as a configuration: each sorted tuple T is scaled by
-        (-1) ** (sum(T) + r - 1), the column sign Tau of :mod:`equidet.detmap`.
+        """Reindex as a configuration: :func:`_tau` of the canonical values.
 
         Tau is its own inverse, so the result's square system, D * Force * Tau
         on its values, is this system's leading equilibrium rows with the
         blocks M of even sum negated (D): the two determinants differ only in
         sign, and so vanish together.
         """
-        entries = {}
-        for key, vec in self.canonical.items():
-            if (sum(key) + self.r - 1) & 1:
-                entries[key] = tuple(-x for x in vec)
-            else:
-                entries[key] = vec
-        return VectorConfiguration._from_checked(self.r, self.d, self.q, entries)
+        return VectorConfiguration._from_checked(self.r, self.d, self.q, _tau(self.canonical, self.r))
 
-    def __eq__(self, other):
-        if not isinstance(other, ForceSystem):
-            return NotImplemented
-        return (
-            (self.r, self.d, self.q) == (other.r, other.d, other.q)
-            and self.canonical == other.canonical
-        )
+    __eq__ = _same_tensor
 
     def __repr__(self):
         return f"ForceSystem(r={self.r}, d={self.d}, q={self.q}, {len(self.canonical)} nonzero tuples)"
@@ -198,15 +191,10 @@ class CoefficientSystem:
     """Fully symmetric scalar family indexed by r-tuples over {1..q}."""
 
     def __init__(self, r: int, q: int, canonical=None):
-        _check_coefficient_shape(r, q)
         self.r = r
         self.q = q
-        self.canonical = {}
-        for key, value in (canonical or {}).items():
-            key = _check_key(key, r, q)
-            _check_exact(value)
-            if value != 0:
-                self.canonical[key] = value
+        pairs = ((key, (value,)) for key, value in (canonical or {}).items())
+        self.canonical = {key: value for key, (value,) in _vector_entries(r, 1, q, pairs).items()}
 
     @classmethod
     def _from_checked(cls, r: int, q: int, canonical) -> "CoefficientSystem":
@@ -228,10 +216,7 @@ class CoefficientSystem:
     def is_trivial(self) -> bool:
         return not self.canonical
 
-    def __eq__(self, other):
-        if not isinstance(other, CoefficientSystem):
-            return NotImplemented
-        return (self.r, self.q) == (other.r, other.q) and self.canonical == other.canonical
+    __eq__ = _same_tensor
 
     def __repr__(self):
         return f"CoefficientSystem(r={self.r}, q={self.q}, {len(self.canonical)} nonzero tuples)"

@@ -21,13 +21,7 @@ from typing import NamedTuple
 from .combinat import permutation_sign, subsets_colex
 from .detmap import det_sr
 from .exact import Matrix, kernel_basis
-from .tensors import (
-    CoefficientSystem,
-    ForceSystem,
-    VectorConfiguration,
-    _check_coefficient_shape,
-    _check_shape,
-)
+from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration, _check_shape
 
 
 def simplex_forces(r: int, points) -> ForceSystem:
@@ -183,7 +177,7 @@ def random_force_system(r: int, d: int, q: int, bound: int, rng) -> ForceSystem:
 
 def random_coefficients(r: int, q: int, bound: int, rng) -> CoefficientSystem:
     """Coefficient family with random integer canonical values in [-bound, bound]."""
-    _check_coefficient_shape(r, q)
+    _check_shape(r, 1, q)
     keys = subsets_colex(q, r)
     values = _uniform_ints(len(keys), bound, rng)
     canonical = {key: value for key, value in zip(keys, values) if value}

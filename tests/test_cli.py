@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -544,6 +545,92 @@ def test_overdetermined_solve_matches_recorded_output(name, capsys):
     case = json.loads(SOLVE_GOLDEN.read_text(encoding="utf-8"))[name]
     assert main(["solve", "--input", str(SOLVE_GOLDEN.parent / name)]) == case["exit_code"]
     assert capsys.readouterr().out == case["stdout"]
+
+
+def _example_file(*argv):
+    def write(path):
+        assert main(["example", *argv, "--output", str(path)]) == 0
+    return write
+
+
+def _text_file(text):
+    return lambda path: path.write_text(text, encoding="utf-8")
+
+
+def _force_file(r, d, q, vec):
+    """A force file holding vec(*idx) at every sorted r-tuple of {1..q}, in lexicographic order."""
+    entries = [{"idx": list(t), "vec": [str(x) for x in vec(*t)]} for t in combinations(range(1, q + 1), r)]
+    return _text_file(json.dumps({"r": r, "d": d, "q": q, "kind": "forces", "entries": entries}))
+
+
+def _pair_file(values):
+    """An r = 2, d = 1, q = 4 force file with values at (1,2), (1,3), (2,3), (1,4), (2,4), (3,4)."""
+    keys = [[1, 2], [1, 3], [2, 3], [1, 4], [2, 4], [3, 4]]
+    entries = [{"idx": key, "vec": [x]} for key, x in zip(keys, values)]
+    return _text_file(json.dumps({"r": 2, "d": 1, "q": 4, "kind": "forces", "entries": entries}))
+
+
+_POINTS = [(i, i * i % 7, (3 * i * i + i) % 5) for i in range(1, 8)]
+
+
+def _cross(i, j, k):
+    u, v = ([x - y for x, y in zip(_POINTS[a - 1], _POINTS[i - 1])] for a in (j, k))
+    return [u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0]]
+
+
+WORKFLOW_PINS = {
+    # det --matrix at r = 3, q = 9, recorded from the square system built on its own equation range
+    "cross-product-matrix": (
+        _example_file("cross-product", "--seed", "1"), ["det", "--matrix"],
+        "e08aeb3edace81848d62933891a266a1acf3eff14fefe83e7cb60fac8000517e",
+    ),
+    # det --matrix of a configuration at d = 3, both sign flips (block D and column Tau); recorded
+    # from the builder that signed configurations with their own sign function
+    "differences-d3-matrix": (
+        _example_file("differences", "--d", "3", "--seed", "1"), ["det", "--matrix"],
+        "8c263b899df33248872dc1e8579655c10931a2d6ae08f6b3bc035c2e72c69b84",
+    ),
+    # q > r*d at d = 1; stdout recorded from the full-system solver
+    "overdet": (
+        _pair_file(["3", "-1", "2", "5", "-4", "1/2"]), ["solve"],
+        "SOLVABLE\nlambda[1, 2] = 2\nlambda[1, 3] = 6\nlambda[2, 3] = 3\nresidual = 0 (verified)\n",
+    ),
+    # p/q scalars, one repeated; stdout recorded from the loader that parsed every scalar on its own
+    "fractions": (
+        _pair_file(["1/2", "-2/3", "3/4", "5", "-4/7", "1/2"]), ["solve"],
+        "SOLVABLE\nlambda[1, 2] = 12\nlambda[1, 3] = 9\nlambda[2, 3] = 8\nresidual = 0 (verified)\n",
+    ),
+    # d = 3, q = 8 > r*d: both cuts apply; recorded from the solver that eliminated the 21 x 21 system
+    "r2d3q8": (
+        _force_file(2, 3, 8, lambda i, j: [(3 * i + 5 * j + 7 * c) % 11 - 5 for c in range(3)]), ["solve"],
+        "cb88ab8b4ace187852dd5859cd804f4990b8f7a2446d8dae3549377b970188a5",
+    ),
+    # r = 3, q = 16; recorded from the solver that scattered all 560 vectors into the full system
+    "r3d2q16": (
+        _force_file(3, 2, 16, lambda i, j, k: [(3 * i + 5 * j + 7 * k + 11 * c) % 13 - 6 for c in range(2)]),
+        ["solve"],
+        "a5aca7b80580f47841b12b84dbc26f066da823a5a4767c85834cb407e926efa4",
+    ),
+    # r = d = 3, q = 7 < r*d: cross-product forces with a kernel; recorded from the solver that
+    # eliminated the whole 63 x 35 system
+    "r3d3q7": (
+        _force_file(3, 3, 7, _cross), ["solve"],
+        "43f9c5f984b9267fcb50508a2e65d16f2ee4cb4e4ff95f7f10b1999981ebaa5c",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WORKFLOW_PINS)
+def test_workflow_pinned_outputs(name, tmp_path, capsys):
+    # the outputs .github/workflows/tests.yml pins on the console script, here through main():
+    # the exact stdout, or its sha256 where the stdout is long
+    write, command, expected = WORKFLOW_PINS[name]
+    path = tmp_path / "input.json"
+    write(path)
+    capsys.readouterr()
+    assert main([command[0], "--input", str(path), *command[1:]]) == 0
+    out = capsys.readouterr().out
+    assert expected in (out, hashlib.sha256(out.encode()).hexdigest())
 
 def test_module_entry_point_matches_main_and_exit_codes(tmp_path, capsys):
     src = str(Path(__file__).parents[1] / "src")

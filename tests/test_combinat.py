@@ -135,13 +135,34 @@ def test_insert_position_rejects_member():
 @pytest.mark.parametrize(
     "call",
     [
+        lambda: subset_rank((True, 2), 2),
+        lambda: subset_rank((1.0, 2), 2),
+        lambda: subset_rank(("1", 2), 2),
+        lambda: insert_position((1, 3), 2.5),
+        lambda: insert_position((1, 3), True),
+        lambda: insert_position((1.0, 3), 2),
+    ],
+    ids=["rank-bool", "rank-float", "rank-str", "insert-float", "insert-bool", "insert-float-tuple"],
+)
+def test_sorted_tuple_rule_refuses_non_int_indices(call):
+    # the index rule's type check: an entry or an inserted value that is not
+    # of type int (bool included) is a ValueError, not a silent rank or a
+    # TypeError from math.comb
+    with pytest.raises(ValueError, match="is not an int"):
+        call()
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
         lambda: subset_rank(tuple(range(20000, 0, -1)), 10**6),
         lambda: subset_rank(tuple(range(20000)), 10**6),
         lambda: permutation_sign(list(range(19999)) + [0]),
         lambda: insert_position(tuple(range(1, 20001)), 5),
         lambda: subset_unrank(10**4000, 2, 5),
+        lambda: subset_rank(("x" * 20000, 2), 3),
     ],
-    ids=["decreasing", "below-one", "repeated", "present", "rank"],
+    ids=["decreasing", "below-one", "repeated", "present", "rank", "non-int"],
 )
 def test_errors_echo_a_bounded_part_of_a_long_input(call):
     # a 20,000-entry input, or a 4,001-digit rank, is cut, not echoed whole

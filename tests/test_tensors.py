@@ -16,6 +16,7 @@ from equidet import (
     subsets_colex,
 )
 from equidet.tensorfile import dump_tensor, load_tensor
+from equidet.tensors import _tau
 
 
 def test_force_pair_swap():
@@ -119,6 +120,18 @@ def test_to_configuration_signs():
     assert g.to_configuration().get((1, 2, 3)) == u  # (-1)**(1+2+3+2) = +1
 
 
+@pytest.mark.parametrize("scalar", [int, lambda x: Fraction(x, 7)], ids=["int", "fraction"])
+@pytest.mark.parametrize("r, d, q", [(2, 2, 4), (2, 3, 7), (3, 2, 6), (3, 3, 9)])
+def test_tau_is_its_own_inverse_and_is_to_configuration(r, d, q, scalar):
+    seeded = random_force_system(r, d, q, 9, random.Random(f"tau/{r}/{d}/{q}"))
+    f = ForceSystem(r, d, q, {key: tuple(map(scalar, vec)) for key, vec in seeded.canonical.items()})
+    assert _tau(_tau(f.canonical, r), r) == f.canonical
+    assert f.to_configuration().entries == _tau(f.canonical, f.r)
+    # against the formula: tuple T scaled by (-1) ** (sum(T) + r - 1)
+    for key, vec in f.canonical.items():
+        assert _tau(f.canonical, r)[key] == tuple((-1) ** (sum(key) + r - 1) * x for x in vec)
+
+
 def test_to_configuration_is_slotwise_linear():
     rng = random.Random(11)
     a = random_force_system(2, 2, 4, 5, rng)
@@ -186,6 +199,10 @@ def test_configuration_zero_default_and_validation():
     # the two kinds use different sign conventions: equal numbers are not equal tensors
     e = {(1, 2): (1, 2)}
     assert (VectorConfiguration(2, 2, 4, e) == ForceSystem(2, 2, 4, e)) is False
+    assert (ForceSystem(2, 2, 4, e) == VectorConfiguration(2, 2, 4, e)) is False
+    assert ForceSystem(2, 2, 4, e) != VectorConfiguration(2, 2, 4, e)
+    assert ForceSystem(2, 2, 4, e) == ForceSystem(2, 2, 4, dict(e))
+    assert VectorConfiguration(2, 2, 4, e) != VectorConfiguration(2, 2, 5, e)
     assert repr(v) == "VectorConfiguration(r=2, d=2, q=4, 1 nonzero slots)"
     assert repr(ForceSystem(2, 2, 4, e)) == "ForceSystem(r=2, d=2, q=4, 1 nonzero tuples)"
     assert repr(CoefficientSystem(2, 4, {(1, 2): 3})) == "CoefficientSystem(r=2, q=4, 1 nonzero tuples)"
@@ -270,6 +287,20 @@ class PairMapping(Mapping):
 
     def __len__(self):
         return len(self.pairs)
+
+
+@pytest.mark.parametrize("second", [(1, 2), [1, 2]], ids=["tuple", "list"])
+def test_every_kind_rejects_a_repeated_key(second):
+    # one entry rule: a key given twice, also once as a tuple and once as a
+    # list, is refused by all three kinds rather than overwritten
+    calls = [
+        lambda: ForceSystem(2, 1, 3, PairMapping([((1, 2), (1,)), (second, (2,))])),
+        lambda: VectorConfiguration(2, 1, 3, PairMapping([((1, 2), (1,)), (second, (2,))])),
+        lambda: CoefficientSystem(2, 3, PairMapping([((1, 2), 1), (second, 2)])),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match=r"repeated key \(1, 2\)"):
+            call()
 
 
 NON_INT_INDICES = [(True, 2), (1.0, 2), ("1", 2), ([1], 2)]
