@@ -13,6 +13,13 @@ an exact result that fails its own check, reported by any command as
 "internal error: ..."), 2 input error (OSError, ValueError, including a shape
 too large to enumerate, or OverflowError), 3 precondition violation
 (determinant requested with q != r*d).
+
+Each command loads only the modules it runs.  This module imports ``detmap``,
+``tensorfile`` and ``tensors`` at its top, which is all ``det`` needs; ``solve``
+imports ``equilibrium``, ``example`` and ``witness-search`` import
+``witnesses``, and ``selfcheck`` and ``verify-relations`` import the invariant
+suite in ``invariants``, each inside the command.  The process pool is loaded
+only by ``--parallel``.
 """
 
 from __future__ import annotations
@@ -20,26 +27,13 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import random
 import sys
-from itertools import combinations
 from math import comb
 
-from .combinat import subsets_colex
-from .detmap import build_system_matrix, check_dependence_relations, det_sr
-from .equilibrium import row_dependence_holds, solve_nontrivial, theorem_consistency
+# only the modules `det` runs; every other command imports its own when it runs
+from .detmap import build_system_matrix, det_sr
 from .tensorfile import dump_tensor, format_scalar, load_tensor, tensor_to_json
 from .tensors import ForceSystem
-from .witnesses import (
-    _map_trials,
-    cross_product_forces,
-    difference_configuration,
-    random_coefficients,
-    random_configuration,
-    random_force_system,
-    wedge_forces,
-    witness_search,
-)
 
 
 def cmd_det(args) -> int:
@@ -66,6 +60,8 @@ def cmd_det(args) -> int:
 
 
 def cmd_solve(args) -> int:
+    from .equilibrium import solve_nontrivial
+
     obj = load_tensor(args.input)
     if not isinstance(obj, ForceSystem):
         raise ValueError("solve needs a tensor file with kind='forces'")
@@ -87,6 +83,10 @@ def cmd_solve(args) -> int:
 
 
 def cmd_example(args) -> int:
+    import random
+
+    from .witnesses import cross_product_forces, difference_configuration, wedge_forces
+
     rng = random.Random(args.seed)
 
     def random_point(dim):
@@ -106,6 +106,8 @@ def cmd_example(args) -> int:
 
 
 def cmd_witness_search(args) -> int:
+    from .witnesses import witness_search
+
     report = witness_search(
         args.r, args.d, args.trials, args.bound, args.seed, parallel=args.parallel
     )
@@ -124,74 +126,10 @@ def cmd_witness_search(args) -> int:
     return 0
 
 
-# ---------------------------------------------------------------------------
-# invariant suite shared by selfcheck and verify-relations
-
-def _vanishing(rng, r, d) -> bool:
-    cfg = random_configuration(r, d, 5, rng)
-    clique = sorted(rng.sample(range(1, r * d + 1), r + 1))
-    shared = tuple(rng.randint(-5, 5) for _ in range(d))
-    for sub in combinations(clique, r):
-        cfg = cfg.with_slot(sub, shared)
-    return det_sr(cfg) == 0
-
-
-def _relations(rng, r, d) -> bool:
-    q = r * d
-    cfg = random_configuration(r, d, 5, rng)
-    if not check_dependence_relations(cfg, random_coefficients(r, q, 5, rng)):
-        return False
-    forces = random_force_system(r, d, q, 5, rng)
-    lam = random_coefficients(r, q, 5, rng)
-    return check_dependence_relations(forces, lam) and row_dependence_holds(forces)
-
-
-def _multilinearity(rng, r, d) -> bool:
-    cfg = random_configuration(r, d, 5, rng)
-    slot = rng.choice(subsets_colex(r * d, r))
-    u = tuple(rng.randint(-5, 5) for _ in range(d))
-    w = tuple(rng.randint(-5, 5) for _ in range(d))
-    alpha, beta = rng.randint(-4, 4), rng.randint(-4, 4)
-    mixed = tuple(alpha * a + beta * b for a, b in zip(u, w))
-    lhs = det_sr(cfg.with_slot(slot, mixed))
-    return lhs == alpha * det_sr(cfg.with_slot(slot, u)) + beta * det_sr(cfg.with_slot(slot, w))
-
-
-def _scaling(rng, r, d) -> bool:
-    cfg = random_configuration(r, d, 5, rng)
-    slot = rng.choice(subsets_colex(r * d, r))
-    c = rng.choice((-3, -2, 2, 3, 5))
-    scaled = cfg.with_slot(slot, tuple(c * x for x in cfg.get(slot)))
-    return det_sr(scaled) == c * det_sr(cfg)
-
-
-def _consistency(rng, r, d) -> bool:
-    report = theorem_consistency(random_force_system(r, d, r * d, 5, rng))
-    return report.consistent and report.reduced_matches_full
-
-
-def run_property(check, r: int, d: int, seed: int, trials: int) -> bool:
-    """One invariant predicate ``check(rng, r, d)``, checked on ``trials``
-    seeded random inputs."""
-    if min(r, d, trials) < 1:
-        raise ValueError(f"need r >= 1, d >= 1 and trials >= 1, got r={r}, d={d}, trials={trials}")
-    rng = random.Random(seed)
-    return all(check(rng, r, d) for _ in range(trials))
-
-
-_SELFCHECK = (
-    ("vanishing (r=2, d=2)", _vanishing, 2, 2),
-    ("vanishing (r=3, d=2)", _vanishing, 3, 2),
-    ("dependence relations (r=2, d=2)", _relations, 2, 2),
-    ("dependence relations (r=3, d=2)", _relations, 3, 2),
-    ("multilinearity (r=2, d=2)", _multilinearity, 2, 2),
-    ("slot scaling (r=2, d=2)", _scaling, 2, 2),
-    ("theorem consistency (r=2, d=2)", _consistency, 2, 2),
-    ("theorem consistency (r=3, d=2)", _consistency, 3, 2),
-)
-
-
 def cmd_selfcheck(args) -> int:
+    from .invariants import _SELFCHECK, run_property
+    from .witnesses import _map_trials
+
     jobs = [(check, r, d, args.seed + index, args.trials)
             for index, (_, check, r, d) in enumerate(_SELFCHECK)]
     outcomes = _map_trials(run_property, jobs, args.parallel)
@@ -206,6 +144,8 @@ def cmd_selfcheck(args) -> int:
 
 
 def cmd_verify_relations(args) -> int:
+    from .invariants import _relations, run_property
+
     ok = run_property(_relations, args.r, args.d, args.seed, args.trials)
     name = f"tuple-equation relations (r={args.r}, d={args.d})"
     print(f"{'PASS' if ok else 'FAIL'} {name}: {args.trials} trials")
