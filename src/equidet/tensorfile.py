@@ -21,10 +21,11 @@ strictly increasing, 1-based, of length r; duplicates are rejected and
 missing tuples mean the zero vector.  Serialization is canonical: entries
 in colex order, zero vectors omitted, scalars in lowest terms.
 
-The loader checks only what is JSON's (the object, its fields, r, d and q
-as JSON integers, ``kind``, and each entry an object with list ``idx`` and
-``vec``), parses each distinct scalar string once, and hands the
-``(idx, vector)`` pairs, in one pass, to the entry rule of :mod:`equidet.tensors`.
+The loader checks only what is JSON's (the object, its fields, ``kind``,
+and each entry an object with list ``idx`` and ``vec``), parses each distinct
+scalar string once, and hands r, d, q and the ``(idx, vector)`` pairs, in one
+pass, to the entry rule of :mod:`equidet.tensors`, whose shape rule refuses
+an r, d or q that is not a JSON integer.
 """
 
 from __future__ import annotations
@@ -86,9 +87,6 @@ def tensor_from_json(doc):
         if field not in doc:
             raise ValueError(f"missing field {field!r}")
     r, d, q = doc["r"], doc["d"], doc["q"]
-    for name, value in (("r", r), ("d", d), ("q", q)):
-        if type(value) is not int:
-            raise ValueError(f"field {name!r} must be an integer, got {_brief(value)}")
     kind = doc["kind"]
     if kind not in ("forces", "configuration"):
         raise ValueError(f"kind must be 'forces' or 'configuration', got {_brief(kind)}")

@@ -7,11 +7,12 @@ Absent tuples read as zero.  Instances are treated as immutable after
 construction.
 
 Values are checked once, where they enter, and each rule is one function that
-all three kinds share: ``_check_index_sequence`` (r ints in 1..q) for every
-accessor, ``_check_key`` (that, strictly increasing) for every key,
-``_vector_entries`` (shape, each key once, d exact scalars, zero vectors
-dropped) for the ``(key, vector)`` pairs of every public constructor (a
-coefficient is a one-scalar vector), ``with_slot`` and :mod:`equidet.tensorfile`,
+all three kinds share: the index rule ``combinat._check_indices`` (r ints in
+1..q) for every accessor, the key rule ``combinat._check_key`` (that, strictly
+increasing) for every key, ``_vector_entries`` (the shape rule
+``_check_shape``, each key once, d exact scalars, zero vectors dropped) for
+the ``(key, vector)`` pairs of every public constructor (a coefficient is a
+one-scalar vector), ``with_slot`` and :mod:`equidet.tensorfile`,
 ``_tau_negates`` and ``_tau`` for the column sign Tau, ``_same_tensor`` for ``==``.
 Values made or already checked here (the loader's, the random generators',
 ``to_configuration``'s, the solver's coefficients) are stored through the
@@ -21,51 +22,23 @@ sorted in-range r-tuples, values nonzero exact d-vectors (or scalars).
 
 from __future__ import annotations
 
-import sys
 from fractions import Fraction
-from operator import lt
 
-from .combinat import _brief, permutation_sign
+from .combinat import _brief, _check_indices, _check_integer, _check_key, _check_size, permutation_sign
 from .exact import _check_exact
 
 
-def _check_index_sequence(idx, r, q):
-    """``idx`` as a tuple of r values of type ``int`` (no bool), each in 1..q."""
-    idx = tuple(idx)
-    if len(idx) != r:
-        raise ValueError(f"expected {r} indices, got {len(idx)}: {_brief(idx)}")
-    for i in idx:
-        if type(i) is not int or not 1 <= i <= q:
-            raise ValueError(f"index {_brief(i)} is not an int in 1..{_brief(q)}")
-    return idx
-
-
-def _check_size(name, value):
-    """An index tuple has r entries and a vector d, and a length is a C size,
-    so neither may pass ``sys.maxsize``.  The message gives the field's digit
-    count, not its value.  q is not bounded here: a sparse tensor over any
+def _check_shape(r, d, q):
+    """The shape rule: r, d and q of type ``int``, r and d past the size rule,
+    r >= 1, d >= 1 and q >= r.  q is not bounded: a sparse tensor over any
     number of particles can be stored, and :func:`equidet.combinat.subsets_colex`
     rejects a particle count too large to enumerate."""
-    if value > sys.maxsize:
-        raise ValueError(
-            f"field {name!r} has {len(str(value))} digits, too large to enumerate"
-            f" (at most {sys.maxsize})"
-        )
-
-
-def _check_shape(r, d, q):
-    _check_size("r", r)
-    _check_size("d", d)
+    for name, value in (("field 'r'", r), ("field 'd'", d), ("field 'q'", q)):
+        _check_integer(name, value)
+    _check_size("field 'r'", r)
+    _check_size("field 'd'", d)
     if r < 1 or d < 1 or q < r:
         raise ValueError(f"need r >= 1, d >= 1, q >= r, got r={_brief(r)}, d={_brief(d)}, q={_brief(q)}")
-
-
-def _check_key(key, r, q):
-    """``key`` as a strictly increasing tuple that passes the index rule."""
-    key = _check_index_sequence(key, r, q)
-    if not all(map(lt, key, key[1:])):
-        raise ValueError(f"indices must be strictly increasing: {_brief(key)}")
-    return key
 
 
 def _vector_entries(r, d, q, pairs):
@@ -163,7 +136,7 @@ class ForceSystem:
     def get(self, idx):
         """Value at an arbitrary index sequence: zero on repeats, else the
         canonical entry times the sign of the sorting permutation."""
-        idx = _check_index_sequence(idx, self.r, self.q)
+        idx = _check_indices(idx, self.r, self.q)
         vec = self.canonical.get(tuple(sorted(idx)))
         if vec is None:  # also every index sequence with a repeat
             return (Fraction(0),) * self.d
@@ -207,7 +180,7 @@ class CoefficientSystem:
 
     def get(self, idx):
         """Value at any ordering of distinct indices; repeats are rejected."""
-        idx = _check_index_sequence(idx, self.r, self.q)
+        idx = _check_indices(idx, self.r, self.q)
         key = tuple(sorted(idx))
         if len(set(key)) != len(key):
             raise ValueError(f"repeated index in {_brief(idx)}")

@@ -164,8 +164,8 @@ def _random_vectors(r: int, d: int, q: int, bound: int, rng):
 
 def random_configuration(r: int, d: int, bound: int, rng) -> VectorConfiguration:
     """Configuration on r*d particles, every slot an integer vector uniform in [-bound, bound]."""
+    _check_shape(r, d, r)  # r and d checked before r * d: a str r times a large d is a large str
     q = r * d
-    _check_shape(r, d, q)
     return VectorConfiguration._from_checked(r, d, q, _random_vectors(r, d, q, bound, rng))
 
 

@@ -1,10 +1,19 @@
+import sys
 from itertools import combinations
 from math import comb
 
 import pytest
 from hypothesis import given, strategies as st
 
-from equidet import insert_position, permutation_sign, subset_rank, subset_unrank, subsets_colex
+from equidet import (
+    VectorConfiguration,
+    insert_position,
+    permutation_sign,
+    subset_rank,
+    subset_unrank,
+    subsets_colex,
+)
+from equidet.tensorfile import tensor_from_json
 
 
 def colex_enumeration(n, k):
@@ -54,8 +63,6 @@ def test_subsets_colex_agrees_with_oracle():
 
 
 def test_subsets_colex_rejects_a_particle_count_past_the_largest_size():
-    import sys
-
     n = sys.maxsize + 1
     with pytest.raises(ValueError, match=f"particle count n has {len(str(n))} digits") as info:
         subsets_colex(n, 2)
@@ -81,6 +88,11 @@ def test_unrank_rejects_out_of_range_rank():
         subset_unrank(6, 2, 4)
     with pytest.raises(ValueError):
         subset_unrank(-1, 2, 4)
+    # a rank, k or n not of type int (bool included) is refused by the int
+    # rule, not read as an int or passed on to math.comb
+    for args in [(0.5, 1, 3), (2.5, 2, 4), (True, 1, 3), (0, 1.0, 3), (0, True, 3), (0, 1, 3.0), (0, 1, "3")]:
+        with pytest.raises(ValueError, match="must be an integer"):
+            subset_unrank(*args)
 
 
 def test_sign_examples():
@@ -141,15 +153,43 @@ def test_insert_position_rejects_member():
         lambda: insert_position((1, 3), 2.5),
         lambda: insert_position((1, 3), True),
         lambda: insert_position((1.0, 3), 2),
+        lambda: subset_rank(([1], 2), 2),
+        lambda: subset_rank((0, 2), 2),
+        lambda: subset_rank((1, 3), 2),
+        lambda: insert_position((0, 3), 2),
+        lambda: insert_position((1, 3), 0),
+        lambda: insert_position((1, [3]), 2),
     ],
-    ids=["rank-bool", "rank-float", "rank-str", "insert-float", "insert-bool", "insert-float-tuple"],
+    ids=[
+        "rank-bool", "rank-float", "rank-str", "insert-float", "insert-bool", "insert-float-tuple",
+        "rank-list", "rank-zero", "rank-past-n", "insert-zero-tuple", "insert-zero", "insert-list-tuple",
+    ],
 )
 def test_sorted_tuple_rule_refuses_non_int_indices(call):
-    # the index rule's type check: an entry or an inserted value that is not
-    # of type int (bool included) is a ValueError, not a silent rank or a
-    # TypeError from math.comb
-    with pytest.raises(ValueError, match="is not an int"):
+    # the index rule: an entry or an inserted value that is not of type int
+    # (bool included) or not in 1..n is a ValueError, not a silent rank or a
+    # TypeError from math.comb; insert_position has no n, and its message
+    # names no bound
+    with pytest.raises(ValueError, match="is not an int") as caught:
         call()
+    assert str(sys.maxsize) not in str(caught.value)
+
+
+@pytest.mark.parametrize("bad", [True, 2.0, [2], 0, 6], ids=["bool", "float", "list", "zero", "past-q"])
+def test_one_index_rule_gives_one_message(bad):
+    # the same bad index gives the same text through the ranking, an accessor
+    # and the file loader
+    doc = {"r": 2, "d": 1, "q": 5, "kind": "configuration", "entries": [{"idx": [1, bad], "vec": ["1"]}]}
+    messages = set()
+    for call in (
+        lambda: subset_rank((1, bad), 5),
+        lambda: VectorConfiguration(2, 1, 5).get((1, bad)),
+        lambda: tensor_from_json(doc),
+    ):
+        with pytest.raises(ValueError) as caught:
+            call()
+        messages.add(str(caught.value))
+    assert messages == {f"index {bad!r} is not an int in 1..5"}
 
 
 @pytest.mark.parametrize(

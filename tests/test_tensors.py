@@ -12,6 +12,8 @@ from equidet import (
     ForceSystem,
     VectorConfiguration,
     permutation_sign,
+    random_coefficients,
+    random_configuration,
     random_force_system,
     subsets_colex,
 )
@@ -70,6 +72,39 @@ def test_arities_and_dimensions_past_the_largest_size_are_rejected_by_field(buil
         build(n)
     assert str(n) not in str(info.value)
     build(3)  # the same shape at a small size is accepted
+
+
+SHAPE_BUILDERS = {
+    "forces": lambda r, d, q: ForceSystem(r, d, q),
+    "configuration": lambda r, d, q: VectorConfiguration(r, d, q),
+    "coefficients": lambda r, d, q: CoefficientSystem(r, q),
+    "random-configuration": lambda r, d, q: random_configuration(r, d, 3, random.Random(1)),
+    "random-forces": lambda r, d, q: random_force_system(r, d, q, 3, random.Random(1)),
+    "random-coefficients": lambda r, d, q: random_coefficients(r, q, 3, random.Random(1)),
+}
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "2"], ids=["float", "bool", "str"])
+@pytest.mark.parametrize(
+    "kind, field",
+    [(kind, field) for kind in SHAPE_BUILDERS for field in "rdq"
+     if not (field == "d" and "coefficients" in kind) and not (field == "q" and kind == "random-configuration")],
+)
+def test_non_int_shapes_are_rejected_where_they_enter(kind, field, bad):
+    # the shape rule's int check: r, d and q of any other type, bool included,
+    # are a ValueError naming the field, not a TypeError from deep inside
+    shape = {"r": 2, "d": 2, "q": 4}
+    SHAPE_BUILDERS[kind](**shape)  # the int shape is accepted
+    shape[field] = bad
+    with pytest.raises(ValueError, match=f"field '{field}' must be an integer, got {bad!r}"):
+        SHAPE_BUILDERS[kind](**shape)
+
+
+def test_random_configuration_checks_its_shape_before_its_particle_count():
+    # q = r * d: a str r times a d past the largest size is an OverflowError,
+    # not the field's ValueError, unless r is checked first
+    with pytest.raises(ValueError, match="field 'r' must be an integer"):
+        random_configuration("x", 10**20, 3, random.Random(1))
 
 
 def test_particle_counts_past_the_largest_size_are_stored():
