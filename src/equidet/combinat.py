@@ -7,7 +7,8 @@ package derives from the colexicographic order fixed here (compare largest
 elements first), so ranks are stable as the ground set grows.
 
 This lowest layer is also the one home of the boundary rules the package
-shares: ``_check_integer`` (a value of type ``int``, no bool),
+shares: ``_check_integer`` (a value of type ``int``, no bool, at least a
+floor if one is given),
 ``_check_size`` (a count at most ``sys.maxsize``), ``_check_indices`` (the
 index rule: ints in 1..q, r of them) and ``_check_key`` (the key rule: the
 index rule plus strict increase).  Error messages show at most 60 characters
@@ -30,10 +31,13 @@ def _brief(value):
     return text if len(text) <= 60 else f"{text[:60]}... ({len(text)} characters)"
 
 
-def _check_integer(name, value):
-    """The int rule: ``value`` is of type ``int``, so not a bool, float or str."""
+def _check_integer(name, value, least=None):
+    """The int rule: ``value`` is of type ``int``, so not a bool, float or str,
+    and at least ``least`` if that is given."""
     if type(value) is not int:
         raise ValueError(f"{name} must be an integer, got {_brief(value)}")
+    if least is not None and value < least:
+        raise ValueError(f"need {name} >= {least}, got {_brief(value)}")
 
 
 def _check_size(what, value):
@@ -90,11 +94,14 @@ def subset_unrank(rank: int, k: int, n: int):
     return tuple(out)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: 4.0 and True are not served 4's and 1's result
 def subsets_colex(n: int, k: int):
     """All k-subsets of {1..n} as sorted tuples, in colexicographic order.
 
-    ``ValueError`` for an n above ``sys.maxsize``, which no range can enumerate."""
+    ``ValueError`` for an n or k not of type ``int``, a negative n, and an n
+    above ``sys.maxsize``, which no range can enumerate."""
+    _check_integer("n", n, 0)
+    _check_integer("k", k)
     _check_size(f"cannot enumerate the {k}-subsets of {{1..n}}: the particle count n", n)
     if k < 0:
         return ()

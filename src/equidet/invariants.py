@@ -63,8 +63,8 @@ def _consistency(rng, r, d) -> bool:
 def run_property(check, r: int, d: int, seed: int, trials: int) -> bool:
     """One invariant predicate ``check(rng, r, d)``, checked on ``trials``
     seeded random inputs."""
-    if min(r, d, trials) < 1:
-        raise ValueError(f"need r >= 1, d >= 1 and trials >= 1, got r={r}, d={d}, trials={trials}")
+    for name, value in (("r", r), ("d", d), ("trials", trials)):
+        combinat._check_integer(name, value, 1)
     rng = random.Random(seed)
     return all(check(rng, r, d) for _ in range(trials))
 

@@ -13,11 +13,13 @@ increasing) for every key, ``_vector_entries`` (the shape rule
 ``_check_shape``, each key once, d exact scalars, zero vectors dropped) for
 the ``(key, vector)`` pairs of every public constructor (a coefficient is a
 one-scalar vector), ``with_slot`` and :mod:`equidet.tensorfile`,
-``_tau_negates`` and ``_tau`` for the column sign Tau, ``_same_tensor`` for ``==``.
-Values made or already checked here (the loader's, the random generators',
-``to_configuration``'s, the solver's coefficients) are stored through the
-private ``_from_checked`` constructors, which take the mapping as it is: keys
-sorted in-range r-tuples, values nonzero exact d-vectors (or scalars).
+``_tau_negates`` and ``_tau`` for the column sign Tau.  The kinds share one
+storage, the private base ``_Tensor``: the fields each kind names in ``_FIELDS``
+(the shape, then the stored values), one ``==`` (the same kind and fields) and
+one ``_from_checked``, which stores values made or already checked here (the
+loader's, the random generators', ``to_configuration``'s, the solver's
+coefficients) as they are: keys sorted in-range r-tuples, values nonzero exact
+d-vectors (or scalars).
 """
 
 from __future__ import annotations
@@ -69,28 +71,36 @@ def _tau(values, r):
     return {t: tuple(-x for x in vec) if _tau_negates(t, r) else vec for t, vec in values.items()}
 
 
-def _same_tensor(self, other):
-    """``__eq__`` of all three kinds: the same kind, shape and stored values."""
-    return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+class _Tensor:
+    """The storage of the three kinds: the fields each names in ``_FIELDS``, in that order."""
+
+    @classmethod
+    def _from_checked(cls, *fields):
+        """A tensor over ``fields``, given in ``_FIELDS`` order and taken without
+        a copy or a check: the caller guarantees sorted in-range r-tuples
+        mapping to nonzero exact d-vectors (scalars for coefficients)."""
+        if len(fields) != len(cls._FIELDS):
+            raise TypeError(f"{cls.__name__} takes {len(cls._FIELDS)} fields {cls._FIELDS}, got {len(fields)}")
+        t = cls.__new__(cls)
+        for name, value in zip(cls._FIELDS, fields):  # not __dict__.update: that makes every later read slower
+            setattr(t, name, value)
+        return t
+
+    def __eq__(self, other):
+        """The same kind, shape and stored values."""
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
 
 
-class VectorConfiguration:
+class VectorConfiguration(_Tensor):
     """A d-vector for every sorted r-tuple over {1..q}; zero slots are implicit."""
+
+    _FIELDS = ("r", "d", "q", "entries")
 
     def __init__(self, r: int, d: int, q: int, entries=None):
         self.r = r
         self.d = d
         self.q = q
         self.entries = _vector_entries(r, d, q, (entries or {}).items())
-
-    @classmethod
-    def _from_checked(cls, r: int, d: int, q: int, entries) -> "VectorConfiguration":
-        """Configuration over ``entries`` taken without a copy or a check: the
-        caller guarantees sorted in-range r-tuples mapping to nonzero d-vectors
-        of exact scalars."""
-        v = cls.__new__(cls)
-        v.r, v.d, v.q, v.entries = r, d, q, entries
-        return v
 
     def get(self, key):
         key = _check_key(key, self.r, self.q)
@@ -110,28 +120,20 @@ class VectorConfiguration:
             entries.pop(key, None)
         return self._from_checked(self.r, self.d, self.q, entries)
 
-    __eq__ = _same_tensor
-
     def __repr__(self):
         return f"VectorConfiguration(r={self.r}, d={self.d}, q={self.q}, {len(self.entries)} nonzero slots)"
 
 
-class ForceSystem:
+class ForceSystem(_Tensor):
     """Fully antisymmetric family of d-vectors indexed by r-tuples over {1..q}."""
+
+    _FIELDS = ("r", "d", "q", "canonical")
 
     def __init__(self, r: int, d: int, q: int, canonical=None):
         self.r = r
         self.d = d
         self.q = q
         self.canonical = _vector_entries(r, d, q, (canonical or {}).items())
-
-    @classmethod
-    def _from_checked(cls, r: int, d: int, q: int, canonical) -> "ForceSystem":
-        """Force system over ``canonical`` taken without a copy or a check, on
-        the same guarantee as :meth:`VectorConfiguration._from_checked`."""
-        f = cls.__new__(cls)
-        f.r, f.d, f.q, f.canonical = r, d, q, canonical
-        return f
 
     def get(self, idx):
         """Value at an arbitrary index sequence: zero on repeats, else the
@@ -154,29 +156,20 @@ class ForceSystem:
         """
         return VectorConfiguration._from_checked(self.r, self.d, self.q, _tau(self.canonical, self.r))
 
-    __eq__ = _same_tensor
-
     def __repr__(self):
         return f"ForceSystem(r={self.r}, d={self.d}, q={self.q}, {len(self.canonical)} nonzero tuples)"
 
 
-class CoefficientSystem:
+class CoefficientSystem(_Tensor):
     """Fully symmetric scalar family indexed by r-tuples over {1..q}."""
+
+    _FIELDS = ("r", "q", "canonical")
 
     def __init__(self, r: int, q: int, canonical=None):
         self.r = r
         self.q = q
         pairs = ((key, (value,)) for key, value in (canonical or {}).items())
         self.canonical = {key: value for key, (value,) in _vector_entries(r, 1, q, pairs).items()}
-
-    @classmethod
-    def _from_checked(cls, r: int, q: int, canonical) -> "CoefficientSystem":
-        """Coefficient family over ``canonical`` taken without a copy or a
-        check: the caller guarantees sorted in-range r-tuples mapping to
-        nonzero exact scalars."""
-        lam = cls.__new__(cls)
-        lam.r, lam.q, lam.canonical = r, q, canonical
-        return lam
 
     def get(self, idx):
         """Value at any ordering of distinct indices; repeats are rejected."""
@@ -188,8 +181,6 @@ class CoefficientSystem:
 
     def is_trivial(self) -> bool:
         return not self.canonical
-
-    __eq__ = _same_tensor
 
     def __repr__(self):
         return f"CoefficientSystem(r={self.r}, q={self.q}, {len(self.canonical)} nonzero tuples)"

@@ -18,7 +18,7 @@ from math import comb, prod
 from operator import getitem
 from typing import NamedTuple
 
-from .combinat import permutation_sign, subsets_colex
+from .combinat import _check_integer, permutation_sign, subsets_colex
 from .detmap import det_sr
 from .exact import Matrix, kernel_basis
 from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration, _check_shape
@@ -29,8 +29,9 @@ def simplex_forces(r: int, points) -> ForceSystem:
     (p_i2 - p_i1) ^ ... ^ (p_ir - p_i1) in the colex basis of (r-1)-sets of
     coordinates, so d = C(s, r-1) and each coordinate is an (r-1)-minor."""
     points = [tuple(p) for p in points]
-    if r < 2 or len(points) < r:
-        raise ValueError(f"need r >= 2 and at least r points, got r={r} and {len(points)} points")
+    _check_integer("r", r, 2)
+    if len(points) < r:
+        raise ValueError(f"need at least r = {r} points, got {len(points)}")
     s = len(points[0])
     if any(len(p) != s for p in points):
         raise ValueError("points must all have the same dimension")
@@ -60,8 +61,7 @@ def cross_product_forces(points) -> ForceSystem:
 def wedge_forces(s: int, vectors) -> ForceSystem:
     """Triple forces vi^vj + vj^vk + vk^vi = (vj - vi)^(vk - vi) in the
     C(s,2)-dimensional space of wedge products, from 3*C(s,2) vectors."""
-    if s < 3:
-        raise ValueError(f"need source dimension >= 3, got {s}")
+    _check_integer("source dimension", s, 3)
     q = 3 * comb(s, 2)
     vectors = [tuple(v) for v in vectors]
     if len(vectors) != q or any(len(v) != s for v in vectors):
@@ -108,8 +108,7 @@ def affine_dependence_lambda(vectors):
 def random_unimodular(d: int, seed: int) -> Matrix:
     """Deterministic integer matrix with determinant exactly 1: a product of
     a bounded number of random elementary shears."""
-    if d < 1:
-        raise ValueError(f"need d >= 1, got {d}")
+    _check_integer("d", d, 1)
     if d == 1:
         return Matrix([[1]])
     rng = random.Random(seed)
@@ -138,11 +137,12 @@ def _uniform_ints(n: int, bound: int, rng):
     range.  ``getrandbits(32 * m)`` packs the next m outputs, first output
     least significant, so reading them back as native words and drawing as
     many again as were rejected reproduces that sequence.  Widths above 32
-    bits, and empty ranges, go through ``randint`` itself.
+    bits go through ``randint`` itself.  ``bound`` is an int >= 0, checked by
+    the callers.
     """
     width = 2 * bound + 1
     k = width.bit_length()
-    if bound < 0 or k > 32:
+    if k > 32:
         return [rng.randint(-bound, bound) for _ in range(n)]
     shift = 32 - k
     limit = width << shift
@@ -157,6 +157,7 @@ def _uniform_ints(n: int, bound: int, rng):
 def _random_vectors(r: int, d: int, q: int, bound: int, rng):
     """A d-vector uniform in [-bound, bound]^d drawn for every sorted r-tuple
     in colex order; the nonzero ones, by tuple."""
+    _check_integer("bound", bound, 0)
     keys = subsets_colex(q, r)
     vectors = zip(*[iter(_uniform_ints(d * len(keys), bound, rng))] * d)
     return {key: vec for key, vec in zip(keys, vectors) if any(vec)}
@@ -178,6 +179,7 @@ def random_force_system(r: int, d: int, q: int, bound: int, rng) -> ForceSystem:
 def random_coefficients(r: int, q: int, bound: int, rng) -> CoefficientSystem:
     """Coefficient family with random integer canonical values in [-bound, bound]."""
     _check_shape(r, 1, q)
+    _check_integer("bound", bound, 0)
     keys = subsets_colex(q, r)
     values = _uniform_ints(len(keys), bound, rng)
     canonical = {key: value for key, value in zip(keys, values) if value}
@@ -222,10 +224,8 @@ def witness_search(r: int, d: int, trials: int, bound: int, seed: int, parallel:
     report is identical whether trials run sequentially or in parallel, and
     the first witness is always the lowest-index nonzero trial.
     """
-    if trials < 1:
-        raise ValueError(f"need trials >= 1, got {trials}")
-    if bound < 1:
-        raise ValueError(f"need bound >= 1, got {bound}")
+    _check_integer("trials", trials, 1)
+    _check_integer("bound", bound, 1)
     rng = random.Random(seed)
     jobs = [(r, d, bound, rng.getrandbits(64)) for _ in range(trials)]
     hits = _map_trials(_witness_trial, jobs, parallel)

@@ -1,3 +1,4 @@
+import re
 import sys
 from itertools import combinations
 from math import comb
@@ -209,3 +210,27 @@ def test_errors_echo_a_bounded_part_of_a_long_input(call):
     with pytest.raises(ValueError) as caught:
         call()
     assert len(str(caught.value)) < 200
+
+
+@pytest.mark.parametrize("primed", [False, True], ids=["cleared-cache", "after-a-valid-call"])
+@pytest.mark.parametrize(
+    "n, k, message",
+    [
+        (4.0, 2, "n must be an integer, got 4.0"),
+        (True, 1, "n must be an integer, got True"),
+        (4, 2.0, "k must be an integer, got 2.0"),
+        (4, True, "k must be an integer, got True"),
+        (-1, 0, "need n >= 0, got -1"),
+    ],
+    ids=["float-n", "bool-n", "float-k", "bool-k", "below-floor-n"],
+)
+def test_subsets_colex_applies_the_int_rule_before_its_cache(n, k, message, primed):
+    # 4.0 == 4 and True == 1 hash alike, so an untyped cache would hand them
+    # the result of the int call, and a cleared one would fail inside range();
+    # {1..-1} has no 0-subset, as subset_unrank and math.comb say
+    subsets_colex.cache_clear()
+    if primed:
+        assert len(subsets_colex(abs(int(n)), int(k))) == comb(abs(int(n)), int(k))
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        subsets_colex(n, k)
+    assert subsets_colex.cache_info().currsize == int(primed)

@@ -8,6 +8,7 @@ public constructor builds from the same entries.  The file loader, which
 builds through the public constructor, is held to the same comparison.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -163,3 +164,37 @@ def test_solver_coefficient_family():
         assert_same(lam, CoefficientSystem(f.r, f.q, dict(zip(system.col_labels, vec))))
         solved += 1
     assert solved >= 2
+
+
+KINDS = {
+    VectorConfiguration: lambda: VectorConfiguration(2, 1, 3, {(1, 2): (4,)}),
+    ForceSystem: lambda: ForceSystem(2, 1, 3, {(1, 2): (4,)}),
+    CoefficientSystem: lambda: CoefficientSystem(2, 3, {(1, 2): 4}),
+}
+
+
+@pytest.mark.parametrize("cls", KINDS, ids=lambda cls: cls.__name__)
+def test_one_storage_for_every_kind(cls):
+    # the public constructor and _from_checked store the fields _FIELDS names,
+    # in that order, so both pickle to the same bytes
+    built = KINDS[cls]()
+    assert tuple(vars(built)) == cls._FIELDS
+    fields = [getattr(built, name) for name in cls._FIELDS]
+    unchecked = cls._from_checked(*fields)
+    assert tuple(vars(unchecked)) == cls._FIELDS
+    assert_same(unchecked, built)
+    assert pickle.dumps(unchecked) == pickle.dumps(built)
+    assert pickle.loads(pickle.dumps(built)) == built
+    for wrong in (fields[:-1], fields + [None]):
+        with pytest.raises(TypeError, match=f"takes {len(cls._FIELDS)} fields"):
+            cls._from_checked(*wrong)
+
+
+def test_equality_needs_the_same_kind():
+    forces = ForceSystem._from_checked(2, 1, 3, {(1, 2): (4,)})
+    configuration = VectorConfiguration._from_checked(2, 1, 3, {(1, 2): (4,)})
+    assert forces != configuration and configuration != forces
+    assert forces == ForceSystem(2, 1, 3, {(1, 2): (4,)}) != ForceSystem(2, 1, 3)
+    for tensor in (forces, configuration, CoefficientSystem(2, 3)):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(tensor)

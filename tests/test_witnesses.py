@@ -1,6 +1,7 @@
 import concurrent.futures
 import os
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -25,6 +26,7 @@ from equidet import (
 )
 from equidet import witnesses
 from equidet.cli import main
+from equidet.invariants import run_property
 
 
 def test_cross_product_unit_points():
@@ -296,6 +298,56 @@ def test_generators_draw_what_randint_draws():
         assert witnesses.random_configuration(r, d, bound, got_rng).entries == want_config
         assert witnesses.random_coefficients(r, q, bound, got_rng).canonical == want_lam
         assert got_rng.getstate() == want_rng.getstate()
-    # an empty range is refused as randint refuses it, not drawn from forever
+    # a negative bound is refused where it enters, not drawn from forever
     with pytest.raises(ValueError):
         witnesses.random_force_system(2, 1, 2, -1, random.Random(0))
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    [(5.5, "bound must be an integer, got 5.5"), (True, "bound must be an integer, got True"), (-1, "need bound >= 0, got -1")],
+    ids=["float", "bool", "below-floor"],
+)
+@pytest.mark.parametrize(
+    "generate",
+    [
+        lambda bound: witnesses.random_configuration(2, 2, bound, random.Random(0)),
+        lambda bound: witnesses.random_force_system(2, 2, 4, bound, random.Random(0)),
+        lambda bound: witnesses.random_coefficients(2, 4, bound, random.Random(0)),
+    ],
+    ids=["configuration", "forces", "coefficients"],
+)
+def test_generators_check_their_bound_where_it_enters(generate, bad, message):
+    # not an AttributeError from the batched draw, a draw from True as from 1,
+    # or randrange's empty-range message
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        generate(bad)
+
+
+LONG_NEGATIVE = -(10**70)
+
+COUNT_CALLS = {
+    "witness-search trials": ("trials", 1, lambda v: witness_search(2, 2, v, 5, 0)),
+    "witness-search bound": ("bound", 1, lambda v: witness_search(2, 2, 3, v, 0)),
+    "random_unimodular d": ("d", 1, lambda v: random_unimodular(v, 1)),
+    "simplex_forces r": ("r", 2, lambda v: simplex_forces(v, [(0, 0), (1, 0), (0, 1)])),
+    "wedge_forces s": ("source dimension", 3, lambda v: wedge_forces(v, [])),
+    "run_property r": ("r", 1, lambda v: run_property(lambda rng, r, d: True, v, 2, 0, 1)),
+    "run_property d": ("d", 1, lambda v: run_property(lambda rng, r, d: True, 2, v, 0, 1)),
+    "run_property trials": ("trials", 1, lambda v: run_property(lambda rng, r, d: True, 2, 2, 0, v)),
+}
+
+
+@pytest.mark.parametrize("case", ["float", "bool", "below-floor"])
+@pytest.mark.parametrize("call", COUNT_CALLS)
+def test_public_counts_take_the_int_rule_with_a_floor(call, case):
+    # one rule and one wording for every public count; the echoed value is
+    # cut as every other message cuts it
+    name, least, run = COUNT_CALLS[call]
+    bad, message = {
+        "float": (least + 0.5, f"{name} must be an integer, got {least + 0.5}"),
+        "bool": (True, f"{name} must be an integer, got True"),
+        "below-floor": (LONG_NEGATIVE, f"need {name} >= {least}, got {repr(LONG_NEGATIVE)[:60]}... (72 characters)"),
+    }[case]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run(bad)
