@@ -38,18 +38,14 @@ from .tensors import ForceSystem
 
 def cmd_det(args) -> int:
     obj = load_tensor(args.input)
-    cfg = obj.to_configuration() if isinstance(obj, ForceSystem) else obj
-    if cfg.q != cfg.r * cfg.d:
-        print(
-            f"error: determinant needs q = r*d, file has q={cfg.q}, r={cfg.r}, d={cfg.d}",
-            file=sys.stderr,
-        )
+    if obj.q != obj.r * obj.d:
+        print(f"error: determinant needs q = r*d, file has q={obj.q}, r={obj.r}, d={obj.d}", file=sys.stderr)
         return 3
-    value = det_sr(cfg)
+    value = det_sr(obj)
     print(value)
     print("ZERO" if value == 0 else "NONZERO")
     if args.matrix:
-        system = build_system_matrix(cfg)
+        system = build_system_matrix(obj)
         dump = {
             "row_labels": [[list(m), coord] for m, coord in system.row_labels],
             "col_labels": [list(t) for t in system.col_labels],
@@ -73,7 +69,7 @@ def cmd_solve(args) -> int:
         lines = [f"lambda{list(key)} = {lam.canonical[key]}" for key in keys]
         print("\n".join(["SOLVABLE", *lines, "residual = 0 (verified)"]))
     if obj.q == obj.r * obj.d:
-        value = det_sr(obj.to_configuration())
+        value = det_sr(obj)
         print(f"det = {value}")
         consistent = (value == 0) == (lam is not None)
         print(f"criterion: {'CONSISTENT' if consistent else 'INCONSISTENT'}")
@@ -85,8 +81,10 @@ def cmd_solve(args) -> int:
 def cmd_example(args) -> int:
     import random
 
+    from .combinat import _check_integer
     from .witnesses import cross_product_forces, difference_configuration, wedge_forces
 
+    _check_integer("--bound", args.bound, 0)
     rng = random.Random(args.seed)
 
     def random_point(dim):
@@ -95,6 +93,7 @@ def cmd_example(args) -> int:
     if args.name == "cross-product":
         obj = cross_product_forces([random_point(3) for _ in range(9)])
     elif args.name == "differences":
+        _check_integer("--d", args.d, 1)
         obj = difference_configuration([random_point(args.d) for _ in range(2 * args.d)])
     else:  # wedge
         count = 3 * comb(args.s, 2)

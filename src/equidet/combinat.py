@@ -72,6 +72,7 @@ def _check_key(key, r=None, q=None):
 
 def subset_rank(t, n: int) -> int:
     """0-based colex rank of subset ``t`` among all |t|-subsets of {1..n}."""
+    _check_integer("n", n, 0)
     t = _check_key(t, q=n)
     return sum(comb(c - 1, j + 1) for j, c in enumerate(t))
 

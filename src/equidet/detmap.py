@@ -4,29 +4,30 @@ A system on q particles has one d-row vector equation per (r-1)-subset M of
 {1..q}.  The unknown of T = sorted(M + {i}) enters with the value stored at T
 times :func:`_order_sign`, the sign of the permutation sorting the written
 order M + (i,): a force system's equilibrium equation, and the package's one
-sign convention.  For any values x a configuration's system is
-Config(x) = D * Force(x) * Tau, where D negates block M when sum(M) is even
-and Tau negates column T when sum(T) + r - 1 is odd (``tensors._tau``).
-Equations whose tuple contains q are redundant (see
+sign convention.  Equations whose tuple contains q are redundant (see
 :func:`check_dependence_relations`) and colex order lists the others first,
-so for q = r*d the square system is the leading
-d * C(q-1, r-1) = C(q, r) rows.  Its determinant, :func:`det_sr`, is linear
-in every slot and vanishes whenever all r-subsets of some r+1 particles
-share one vector.
+so for q = r*d the square system is the leading d * C(q-1, r-1) = C(q, r)
+rows times D, which negates block M when sum(M) is even: D * Force(x) on a
+force system's stored values x, D * Force(x) * Tau on a configuration's,
+where Tau negates column T when sum(T) + r - 1 is odd (``tensors._tau``).
+As Force(Tau * x) = Force(x) * Tau, a force system's square is that of its
+``to_configuration()``.  Its determinant, :func:`det_sr`, is linear in every
+slot, and vanishes when all r-subsets of some r+1 particles share one vector.
 
-:func:`det_sr` takes det(Force(x)) times det(D) * det(Tau), a sign fixed by
-the shape.  Column M + {q} is u = x[M + {q}] in block M alone, unsigned since
-q sorts last; pivoting it on u's first nonzero a = u[k0] leaves ``det_exact``
-the Schur complement S over the C(q-1, r) columns avoiding q, rows
-a * row(M, k) - u[k] * row(M, k0), and det = (-1)^e det(S) prod a^(2-d),
-e = sum (d-1-k0) + (d-1) N(N-1)/2 + the shape's parity, N = C(q-1, r-1).
+:func:`det_sr` takes det(Force(x)) times det(D), and det(Tau) for a
+configuration: ``_values``, the one kind rule, tells which.  Column M + {q} is
+u = x[M + {q}] in block M alone, unsigned since q sorts last; pivoting it on
+u's first nonzero a = u[k0] leaves ``det_exact`` the Schur complement S over
+the C(q-1, r) columns avoiding q, rows a * row(M, k) - u[k] * row(M, k0), and
+det = (-1)^e det(S) prod a^(2-d), e = sum (d-1-k0) + the cached parity of
+(d-1) N(N-1)/2, det(D) and, for a configuration, det(Tau), N = C(q-1, r-1).
 
 Where each nonzero goes, and its sign, depend only on the shape (r, d, q).
 That layout of the full system, with its labels, each block's slots M + {i}
 in order of i (head last, so :func:`det_sr` builds S one block at a time)
-and the parity, is cached per shape; every build scatters the stored values
-through it entry by entry.  The ±1 relation rows have a cache of their own,
-which only the two redundancy checks read.
+and the two parities, is cached per shape; every build scatters the stored
+values through it entry by entry.  The ±1 relation rows have a cache of their
+own, which only the two redundancy checks read.
 """
 
 from __future__ import annotations
@@ -65,9 +66,9 @@ def _incidence_pattern(r: int, d: int, q: int):
     row of block M, negate), ...))``, one pair per equation M = T - {i} with
     ``negate`` = ``_order_sign(M, i) < 0``; for each of the C(q-1, r-1)
     blocks M avoiding q, its slots ``((column, T, negate), ...)`` in order of
-    i, head M + {q} last; the parity of det(D) * det(Tau) on the square; the
-    row labels ((M, coordinate), ...); and the column labels.  Shared: read
-    it, never write it.
+    i, head M + {q} last; det_sr's parities for a force system and for a
+    configuration; the row labels ((M, coordinate), ...); and the column
+    labels.  Shared: read it, never write it.
     """
     equations = subsets_colex(q, r - 1)
     col_labels = subsets_colex(q, r)
@@ -86,11 +87,11 @@ def _incidence_pattern(r: int, d: int, q: int):
             if q not in m:
                 blocks[base // d].append((j, t, negate))
         pattern[t] = (j, tuple(slots))
-    # D negates d rows per block of even sum among the blocks avoiding q; Tau negates columns
-    parity = d * sum(not sum(m) & 1 for m in equations[: len(blocks)])
-    parity += sum(_tau_negates(t, r) for t in col_labels)
+    # det(D): d rows per block of even sum among the N avoiding q; S's rows: (d-1) C(N, 2) swaps
+    parity = d * sum(not sum(m) & 1 for m in equations[: len(blocks)]) + (d - 1) * comb(len(blocks), 2)
+    tau = sum(_tau_negates(t, r) for t in col_labels)
     row_labels = tuple((m, coord) for m in equations for coord in range(1, d + 1))
-    return pattern, tuple(map(tuple, blocks)), parity & 1, row_labels, col_labels
+    return pattern, tuple(map(tuple, blocks)), (parity & 1, (parity + tau) & 1), row_labels, col_labels
 
 
 @lru_cache(maxsize=None)
@@ -138,38 +139,45 @@ def _reduced_rows(system: SystemMatrix, r: int, d: int, q: int) -> SystemMatrix:
     return SystemMatrix(matrix, system.row_labels[:n], system.col_labels)
 
 
+def _values(v) -> tuple:
+    """The kind rule: a configuration's or a force system's stored values, and True for a configuration."""
+    if not isinstance(v, (VectorConfiguration, ForceSystem)):
+        raise TypeError(f"need a VectorConfiguration or a ForceSystem, got {type(v).__name__}")
+    return (v.entries, True) if isinstance(v, VectorConfiguration) else (v.canonical, False)
+
+
 def _square_shape(v) -> tuple:
-    """(r, d, q) of a configuration with q = r*d, the square system's precondition."""
-    if not isinstance(v, VectorConfiguration):
-        raise TypeError(f"square system needs a VectorConfiguration, got {type(v).__name__}")
+    """(r, d, q), then :func:`_values`, of a system with q = r*d, the square system's precondition."""
+    values = _values(v)
     if v.q != v.r * v.d:
         raise ValueError(f"square system needs q = r*d, got q={v.q} with r={v.r}, d={v.d}")
-    return v.r, v.d, v.q
+    return v.r, v.d, v.q, *values
 
 
-def build_system_matrix(v: VectorConfiguration) -> SystemMatrix:
-    """Assemble the square system for a configuration with q = r*d:
-    D * Force(x) * Tau, Tau applied to the values (``tensors._tau``), D to the rows."""
-    r, d, q = _square_shape(v)
-    square = _reduced_rows(_incidence_rows(_tau(v.entries, r), r, d, q), r, d, q)
+def build_system_matrix(v) -> SystemMatrix:
+    """Assemble the square system of a configuration or a force system with q = r*d
+    (module docstring): Tau applied to a configuration's values, D to the rows."""
+    r, d, q, values, configuration = _square_shape(v)
+    values = _tau(values, r) if configuration else values
+    square = _reduced_rows(_incidence_rows(values, r, d, q), r, d, q)
     rows = [row if sum(m) & 1 else {j: -x for j, x in row.items()}
             for row, (m, _) in zip(square.matrix.sparse, square.row_labels)]
     return square._replace(matrix=Matrix._from_sparse(rows, square.matrix.cols))
 
 
-def det_sr(v: VectorConfiguration) -> Fraction:
-    """Exact determinant of the square system built from ``v``: det(Force(x))
-    through the Schur complement S above, times the shape's det(D) * det(Tau).
+def det_sr(v) -> Fraction:
+    """Exact determinant of the square system of ``v``, either kind: det(Force(x))
+    through the Schur complement S above, times the sign of its shape and kind.
 
     S is built one block M at a time from the block's slots in the layout:
     the head u = v[M + {q}] gives the pivot a = u[k0], and each k != k0 one
     row of S, a * w[k] - u[k] * w[k0] (negated where the slot's sign is) over
     the block's stored vectors w.  A missing or zero head returns 0 before
     any row is built."""
-    r, d, q = _square_shape(v)
-    _, blocks, parity, *_ = _incidence_pattern(r, d, q)
-    get = v.entries.get
-    e = parity + (d - 1) * len(blocks) * (len(blocks) - 1) // 2
+    r, d, q, values, configuration = _square_shape(v)
+    _, blocks, parities, *_ = _incidence_pattern(r, d, q)
+    get = values.get
+    e = parities[configuration]
     pivots = []
     rows = []
     for slots in blocks:
@@ -204,12 +212,8 @@ def check_dependence_relations(v, lam: CoefficientSystem) -> bool:
     rows and coefficients by ±1.  The identities hold for every input; a
     False return means the sign convention was broken.
     """
-    if not isinstance(v, (VectorConfiguration, ForceSystem)):
-        raise TypeError(
-            f"dependence relations need a VectorConfiguration or a ForceSystem, got {type(v).__name__}"
-        )
+    values, _ = _values(v)
     _check_coefficients(lam, v.r, v.q)
-    values = v.canonical if isinstance(v, ForceSystem) else v.entries
     system = _incidence_rows(values, v.r, v.d, v.q)
     at_lam = system.matrix.mul_vec([lam.canonical.get(t, 0) for t in system.col_labels])
     return not any(_relation_rows(v.r, v.d, v.q).mul_vec(at_lam))

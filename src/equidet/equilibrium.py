@@ -146,7 +146,7 @@ def theorem_consistency(f: ForceSystem) -> ConsistencyReport:
     matrix is eliminated only when their rank is short of the column count.
     """
     _check_forces(f)
-    det_value = detmap.det_sr(f.to_configuration())  # also the q = r*d check
+    det_value = detmap.det_sr(f)  # also the q = r*d check
     system = build_equilibrium_system(f)
     cols = system.full_matrix.cols
     reduced_rank = rank_exact(system.reduced_matrix)

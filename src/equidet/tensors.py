@@ -148,12 +148,7 @@ class ForceSystem(_Tensor):
 
     def to_configuration(self) -> VectorConfiguration:
         """Reindex as a configuration: :func:`_tau` of the canonical values.
-
-        Tau is its own inverse, so the result's square system, D * Force * Tau
-        on its values, is this system's leading equilibrium rows with the
-        blocks M of even sum negated (D): the two determinants differ only in
-        sign, and so vanish together.
-        """
+        Tau is its own inverse, so the two have one square system (``detmap``)."""
         return VectorConfiguration._from_checked(self.r, self.d, self.q, _tau(self.canonical, self.r))
 
     def __repr__(self):

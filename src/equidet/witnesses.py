@@ -122,6 +122,9 @@ def random_unimodular(d: int, seed: int) -> Matrix:
 
 def sl_transform(v: VectorConfiguration, g: Matrix) -> VectorConfiguration:
     """Apply a d x d matrix to every stored vector of a configuration."""
+    for value, kind in ((v, VectorConfiguration), (g, Matrix)):
+        if not isinstance(value, kind):
+            raise TypeError(f"sl_transform needs a {kind.__name__}, got {type(value).__name__}")
     if g.rows != v.d or g.cols != v.d:
         raise ValueError(f"transform must be {v.d}x{v.d}, got {g.rows}x{g.cols}")
     entries = {key: tuple(g.mul_vec(list(vec))) for key, vec in v.entries.items()}

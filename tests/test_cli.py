@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from equidet import ForceSystem, dump_tensor, load_tensor, tensor_from_json
+from equidet import ForceSystem, dump_tensor, load_tensor, tensor_from_json, theorem_consistency
 from equidet.cli import _build_parser, main
 
 FIXTURE = str(Path(__file__).parent / "fixtures" / "forces_r2_d2_nonzero.json")
@@ -631,6 +631,55 @@ def test_workflow_pinned_outputs(name, tmp_path, capsys):
     assert main([command[0], "--input", str(path), *command[1:]]) == 0
     out = capsys.readouterr().out
     assert expected in (out, hashlib.sha256(out.encode()).hexdigest())
+
+
+def test_forces_enter_the_square_without_tau(tmp_path, capsys, monkeypatch):
+    # Force(Tau x) = Force(x) Tau, so det, det --matrix, solve and theorem_consistency read a
+    # force system as stored: with the copy and Tau made to raise, the recorded outputs stay
+    import equidet.detmap
+    import equidet.tensors
+
+    def refuse(*args):
+        raise AssertionError("a force system was copied or Tau applied")
+
+    path = tmp_path / "cross.json"
+    _example_file("cross-product", "--seed", "1")(path)
+    capsys.readouterr()
+    monkeypatch.setattr(ForceSystem, "to_configuration", refuse)
+    monkeypatch.setattr(equidet.detmap, "_tau", refuse)
+    monkeypatch.setattr(equidet.tensors, "_tau", refuse)
+    for argv, expected in [
+        (["det", "--input", str(path), "--matrix"], WORKFLOW_PINS["cross-product-matrix"][2]),
+        (["solve", "--input", str(path)], "ce625b5aac7677f93c8db03ebc7faed04d395f7377a32d010442a14fa7bfd41d"),
+        (["det", "--input", FIXTURE], "26730\nNONZERO\n"),
+        (["solve", "--input", FIXTURE], "UNSOLVABLE\ndet = 26730\ncriterion: CONSISTENT\n"),
+    ]:
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        assert expected in (out, hashlib.sha256(out.encode()).hexdigest()), argv
+    report = theorem_consistency(load_tensor(FIXTURE))
+    assert report == (Fraction(26730), 0, True, True)
+    assert theorem_consistency(load_tensor(str(path))) == (0, 35, True, True)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["cross-product", "--bound", "-1"], "need --bound >= 0, got -1"),
+        (["wedge", "--bound", "-3"], "need --bound >= 0, got -3"),
+        (["differences", "--d", "0"], "need --d >= 1, got 0"),
+        (["differences", "--d", "-2"], "need --d >= 1, got -2"),
+    ],
+    ids=["cross-product-bound", "wedge-bound", "differences-d-zero", "differences-d-negative"],
+)
+def test_example_names_a_bad_field(tmp_path, capsys, argv, message):
+    # the floors the random generators use; before, random's "empty range for randrange()"
+    # or "need at least r = 2 points" came out instead
+    out_path = tmp_path / "x.json"
+    assert main(["example", *argv, "--output", str(out_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_path.exists()
+
 
 def test_module_entry_point_matches_main_and_exit_codes(tmp_path, capsys):
     src = str(Path(__file__).parents[1] / "src")

@@ -96,6 +96,17 @@ def test_unrank_rejects_out_of_range_rank():
             subset_unrank(*args)
 
 
+@pytest.mark.parametrize("t, n", [((1, 2), 5.0), ((1,), True), ((1, 2), "5")], ids=["float", "bool", "str"])
+def test_subset_rank_applies_the_int_rule_to_n(t, n):
+    # as its inverse does: a float or bool n was ranked as the int it equals,
+    # and a str one failed in a comparison with a TypeError
+    message = f"^n must be an integer, got {re.escape(repr(n))}$"
+    with pytest.raises(ValueError, match=message):
+        subset_rank(t, n)
+    with pytest.raises(ValueError, match=message):
+        subset_unrank(0, len(t), n)
+
+
 def test_sign_examples():
     assert permutation_sign((1, 2, 3)) == 1
     assert permutation_sign((2, 1)) == -1

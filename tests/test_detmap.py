@@ -511,6 +511,38 @@ def test_det_sr_matches_the_whole_system_determinant(r, d, bound):
             assert det_sr(v) == whole_system_det(v), (r, d, bound)
 
 
+def force_cases(r, d, bound, rng):
+    """A seeded force system at q = r*d, the same with p/q entries, and with
+    its first head (the colex r-tuple holding q) missing, given as zero and,
+    for d > 1, led by a zero, which moves its pivot one row down."""
+    q = r * d
+    f = random_force_system(r, d, q, bound, rng)
+    fractions = {t: tuple(Fraction(x, rng.randint(1, 6)) for x in vec) for t, vec in f.canonical.items()}
+    head = heads(r, d)[0]
+    missing = {t: vec for t, vec in f.canonical.items() if t != head}
+    return [
+        f,
+        ForceSystem(r, d, q, fractions),
+        ForceSystem(r, d, q, missing),
+        ForceSystem(r, d, q, {**missing, head: (0,) * d}),
+        *([ForceSystem(r, d, q, {**missing, head: (0, *range(1, d))})] if d > 1 else []),
+    ]
+
+
+@pytest.mark.parametrize("bound", [1, 2, 5])
+@pytest.mark.parametrize("r,d", SQUARE_SHAPES)
+def test_a_force_system_enters_the_square_as_stored(r, d, bound):
+    # Force(Tau x) = Force(x) Tau: a force system's square, D * Force on its
+    # canonical values, is that of its configuration, where Tau is applied
+    # twice; so are its determinant and its whole square's
+    rng = random.Random(f"forces-as-stored-{r}-{d}-{bound}")
+    for _ in range(2 if r * d > 6 else 5):
+        for f in force_cases(r, d, bound, rng):
+            cfg = f.to_configuration()
+            assert build_system_matrix(f) == build_system_matrix(cfg), (r, d, bound)
+            assert det_sr(f) == det_sr(cfg) == whole_system_det(f), (r, d, bound)
+
+
 @pytest.mark.parametrize("r,d", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
 def test_det_sr_matches_on_fraction_entries(r, d):
     rng = random.Random(f"schur-fractions-{r}-{d}")

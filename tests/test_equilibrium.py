@@ -9,6 +9,7 @@ import pytest
 from equidet import (
     CoefficientSystem,
     ForceSystem,
+    Matrix,
     build_equilibrium_system,
     build_system_matrix,
     check_dependence_relations,
@@ -21,6 +22,7 @@ from equidet import (
     random_force_system,
     residual,
     row_dependence_holds,
+    sl_transform,
     solve_nontrivial,
     subsets_colex,
     theorem_consistency,
@@ -314,8 +316,9 @@ def test_solution_coefficients_are_symmetric():
 @pytest.mark.parametrize(
     "call, given",
     [
-        (det_sr, "ForceSystem"),
-        (build_system_matrix, "ForceSystem"),
+        # both take a configuration or a force system; every other kind is refused
+        (lambda cfg: det_sr(CoefficientSystem(2, 4)), "CoefficientSystem"),
+        (lambda cfg: build_system_matrix(CoefficientSystem(2, 4)), "CoefficientSystem"),
         (build_equilibrium_system, "VectorConfiguration"),
         (solve_nontrivial, "VectorConfiguration"),
         (lambda cfg: residual(cfg, CoefficientSystem(2, 4)), "VectorConfiguration"),
@@ -325,6 +328,8 @@ def test_solution_coefficients_are_symmetric():
         (lambda cfg: check_dependence_relations(cfg, {"r": 2}), "dict"),
         (lambda f: check_dependence_relations(f, f), "ForceSystem"),
         (lambda cfg: check_dependence_relations(CoefficientSystem(2, 4), CoefficientSystem(2, 4)), "CoefficientSystem"),
+        (lambda f: sl_transform(f, Matrix.identity(2)), "ForceSystem"),
+        (lambda cfg: sl_transform(cfg, [[1, 0], [0, 1]]), "list"),
     ],
     ids=[
         "det_sr",
@@ -338,6 +343,8 @@ def test_solution_coefficients_are_symmetric():
         "check_dependence_relations_lam_dict",
         "check_dependence_relations_lam_forces",
         "check_dependence_relations_v",
+        "sl_transform",
+        "sl_transform_g",
     ],
 )
 def test_wrong_tensor_kind_raises_type_error(call, given):
