@@ -15,12 +15,13 @@ As Force(Tau * x) = Force(x) * Tau, a force system's square is that of its
 slot, and vanishes when all r-subsets of some r+1 particles share one vector.
 
 :func:`det_sr` takes det(Force(x)) times det(D), and det(Tau) for a
-configuration: ``_values``, the one kind rule, tells which.  Column M + {q} is
-u = x[M + {q}] in block M alone, unsigned since q sorts last; pivoting it on
-u's first nonzero a = u[k0] leaves ``det_exact`` the Schur complement S over
-the C(q-1, r) columns avoiding q, rows a * row(M, k) - u[k] * row(M, k0), and
-det = (-1)^e det(S) prod a^(2-d), e = sum (d-1-k0) + the cached parity of
-(d-1) N(N-1)/2, det(D) and, for a configuration, det(Tau), N = C(q-1, r-1).
+configuration: ``tensors._values``, the one kind rule, tells which.  Column
+M + {q} is u = x[M + {q}] in block M alone, unsigned since q sorts last;
+pivoting it on u's first nonzero a = u[k0] leaves ``det_exact`` the Schur
+complement S over the C(q-1, r) columns avoiding q, rows
+a * row(M, k) - u[k] * row(M, k0), and det = (-1)^e det(S) prod a^(2-d),
+e = sum (d-1-k0) + the cached parity of (d-1) N(N-1)/2, det(D) and, for a
+configuration, det(Tau), N = C(q-1, r-1).
 
 Where each nonzero goes, and its sign, depend only on the shape (r, d, q).
 That layout of the full system, with its labels, each block's slots M + {i}
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 from .combinat import subsets_colex
 from .exact import Matrix, det_exact
-from .tensors import CoefficientSystem, ForceSystem, VectorConfiguration, _check_coefficients, _tau, _tau_negates
+from .tensors import CoefficientSystem, _check_coefficients, _tau, _tau_negates, _values
 
 
 class SystemMatrix(NamedTuple):
@@ -139,15 +140,8 @@ def _reduced_rows(system: SystemMatrix, r: int, d: int, q: int) -> SystemMatrix:
     return SystemMatrix(matrix, system.row_labels[:n], system.col_labels)
 
 
-def _values(v) -> tuple:
-    """The kind rule: a configuration's or a force system's stored values, and True for a configuration."""
-    if not isinstance(v, (VectorConfiguration, ForceSystem)):
-        raise TypeError(f"need a VectorConfiguration or a ForceSystem, got {type(v).__name__}")
-    return (v.entries, True) if isinstance(v, VectorConfiguration) else (v.canonical, False)
-
-
 def _square_shape(v) -> tuple:
-    """(r, d, q), then :func:`_values`, of a system with q = r*d, the square system's precondition."""
+    """(r, d, q), then ``tensors._values``, of a system with q = r*d, the square system's precondition."""
     values = _values(v)
     if v.q != v.r * v.d:
         raise ValueError(f"square system needs q = r*d, got q={v.q} with r={v.r}, d={v.d}")

@@ -11,23 +11,28 @@ the same sign combines them in :func:`row_dependence_holds`.
 The solver follows one rule for every q.  With k = min(q, r*d + 1), the
 C(k, r) unknowns of the first k particles come first in colex order and meet
 only the first d * C(k, r-1) rows, the equations of the first k particles.
-On those columns the row dependence of each (r-2)-subset N of {1..k-1} makes
-block N + {k} a ±1 combination of the blocks N + {i}, i < k (its blocks with
-i > k have no entry there), so the n = d * C(k-1, r-1) rows of the blocks
-avoiding k, listed first, span the row space of all of them: the same first
-kernel vector.  For q <= r*d that is the whole system (k = q).  For q > r*d
-they hold at most n pivots, so the first free column is among the first
-n + 1 columns, and C(k, r) - n = C(r*d, r-1) / r >= 1 keeps those inside the
-first k particles.  So the solver scatters only the stored vectors of the
-first m = min(n + 1, C(k, r)) colex r-tuples, eliminates the first n rows
-over those m columns, and certifies the vector, padded with zeros, on every
-equation of the first k particles: all of the full system's equations that
-are nonzero on its columns.  "No solution" only ever comes from eliminating
-all C(q, r) columns, and it is sound without the row dependence, since the n
-rows are rows of the full system.  The reduced system (equations avoiding
-particle q) is the full one's leading rows; its agreement with it is checked
-by rank, and the full rows are eliminated only when the reduced ones fall
-short of full column rank.
+On those columns the row dependence anchored at N = M - {1} makes each block
+M that contains particle 1 a ±1 combination of the blocks N + {i}, i > 1,
+which avoid it (those with i > k have no entry there), so the
+n = d * C(k-1, r-1) rows of the blocks avoiding particle 1 span the row
+space of all of them: the same first kernel vector.  For q <= r*d that is
+the whole system (k = q).  For q > r*d they hold at most n pivots, so the
+first free column is among the first n + 1 columns, and
+C(k, r) - n = C(r*d, r-1) / r >= 1 keeps those inside the first k
+particles.  So the solver scatters only the stored vectors of the first
+m = min(n + 1, C(k, r)) colex r-tuples, eliminates the n rows avoiding
+particle 1 over those m columns, and certifies the vector, padded with
+zeros, on every equation of the first k particles: all of the full system's
+equations that are nonzero on its columns.  Particle 1 is the one to drop
+because colex order lists its columns first at every level: each early
+column that holds particle 1 meets a single kept block, so the
+left-to-right pass pivots it there almost without fill, where the blocks
+avoiding particle k would meet it r at a time.  "No solution" only ever
+comes from eliminating all C(q, r) columns, and it is sound without the row
+dependence, since the n rows are rows of the full system.  The reduced
+system (equations avoiding particle q) is the full one's leading rows; its
+agreement with it is checked by rank, and the full rows are eliminated only
+when the reduced ones fall short of full column rank.
 """
 
 from __future__ import annotations
@@ -80,9 +85,10 @@ def solve_nontrivial(f: ForceSystem):
     With k = min(q, r*d + 1), n = d * C(k-1, r-1) and m = min(n + 1, C(k, r)),
     it builds the system of the first k particles from the stored vectors of
     the first m colex r-tuples only, the columns its vector can touch, and
-    eliminates its first n rows, the equations avoiding particle k (the module
-    docstring says why).  The vector, padded with zeros, is the full system's
-    first, and every equation of the k-system certifies it.
+    eliminates its n rows avoiding particle 1, which pivot particle 1's
+    columns inside single blocks with little fill (the module docstring says
+    why).  The vector, padded with zeros, is the full system's first, and
+    every equation of the k-system certifies it.
     ``ArithmeticError`` if any equation is nonzero, or if a cut to fewer than
     all C(q, r) columns has no kernel vector."""
     _check_forces(f)
@@ -93,7 +99,8 @@ def solve_nontrivial(f: ForceSystem):
     m = min(n + 1, len(columns))
     get = f.canonical.get
     system = detmap._incidence_rows({t: x for t in columns[:m] if (x := get(t))}, r, d, k)
-    vec = kernel_vector(Matrix._from_sparse(system.matrix.sparse[:n], m))
+    kept = [row for row, (block, _) in zip(system.matrix.sparse, system.row_labels) if 1 not in block]
+    vec = kernel_vector(Matrix._from_sparse(kept, m))
     if vec is None:
         if m < comb(q, r):
             raise ArithmeticError(f"the cut system of the first {k} particles has no kernel vector")
@@ -121,7 +128,9 @@ def row_dependence_holds(f: ForceSystem) -> bool:
     For every (r-2)-subset N, the combination of row blocks
     sum over i of (-1) ** (r - 1 - p) * rows(sorted(N + {i}))  (p the slot of
     i in the sorted tuple) is the zero row, for any force system.  This is
-    what justifies dropping the equations that mention particle q.
+    what justifies dropping the equations that mention particle q from the
+    square and reduced systems, and those that mention particle 1 from the
+    solver's.
     """
     relations = detmap._relation_rows(f.r, f.d, f.q)
     return not any((relations * build_equilibrium_system(f).full_matrix).sparse)

@@ -35,7 +35,7 @@ import re
 from fractions import Fraction
 
 from .combinat import _brief
-from .tensors import ForceSystem, VectorConfiguration, _vector_entries
+from .tensors import ForceSystem, VectorConfiguration, _values, _vector_entries
 
 _SCALAR_RE = re.compile(r"-?[0-9]+(/[0-9]+)?\Z")
 _MAX_DIGITS = 4300  # per integer, numerator or denominator
@@ -97,19 +97,15 @@ def tensor_from_json(doc):
 
 
 def tensor_to_json(obj) -> dict:
-    """Canonical JSON document for a ForceSystem or VectorConfiguration."""
-    if isinstance(obj, ForceSystem):
-        kind, stored = "forces", obj.canonical
-    elif isinstance(obj, VectorConfiguration):
-        kind, stored = "configuration", obj.entries
-    else:
-        raise ValueError(f"cannot serialize {type(obj).__name__}")
+    """Canonical JSON document for a ForceSystem or VectorConfiguration
+    (``TypeError`` for anything else, from the kind rule ``tensors._values``)."""
+    stored, configuration = _values(obj)
     keys = sorted(stored, key=lambda t: t[::-1])
     return {
         "r": obj.r,
         "d": obj.d,
         "q": obj.q,
-        "kind": kind,
+        "kind": "configuration" if configuration else "forces",
         "entries": [
             {"idx": list(key), "vec": [format_scalar(x) for x in stored[key]]}
             for key in keys

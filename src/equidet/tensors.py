@@ -13,13 +13,15 @@ increasing) for every key, ``_vector_entries`` (the shape rule
 ``_check_shape``, each key once, d exact scalars, zero vectors dropped) for
 the ``(key, vector)`` pairs of every public constructor (a coefficient is a
 one-scalar vector), ``with_slot`` and :mod:`equidet.tensorfile`,
-``_tau_negates`` and ``_tau`` for the column sign Tau.  The kinds share one
-storage, the private base ``_Tensor``: the fields each kind names in ``_FIELDS``
-(the shape, then the stored values), one ``==`` (the same kind and fields) and
-one ``_from_checked``, which stores values made or already checked here (the
-loader's, the random generators', ``to_configuration``'s, the solver's
-coefficients) as they are: keys sorted in-range r-tuples, values nonzero exact
-d-vectors (or scalars).
+``_tau_negates`` and ``_tau`` for the column sign Tau, and ``_values``, the
+kind rule through which :mod:`equidet.detmap` and :mod:`equidet.tensorfile`
+read a configuration's or a force system's stored values.  The kinds share
+one storage, the private base ``_Tensor``: the fields each kind names in
+``_FIELDS`` (the shape, then the stored values), one ``==`` (the same kind
+and fields) and one ``_from_checked``, which stores values made or already
+checked here (the loader's, the random generators', ``to_configuration``'s,
+the solver's coefficients) as they are: keys sorted in-range r-tuples,
+values nonzero exact d-vectors (or scalars).
 """
 
 from __future__ import annotations
@@ -179,6 +181,13 @@ class CoefficientSystem(_Tensor):
 
     def __repr__(self):
         return f"CoefficientSystem(r={self.r}, q={self.q}, {len(self.canonical)} nonzero tuples)"
+
+
+def _values(v) -> tuple:
+    """The kind rule: a configuration's or a force system's stored values, and True for a configuration."""
+    if not isinstance(v, (VectorConfiguration, ForceSystem)):
+        raise TypeError(f"need a VectorConfiguration or a ForceSystem, got {type(v).__name__}")
+    return (v.entries, True) if isinstance(v, VectorConfiguration) else (v.canonical, False)
 
 
 def _check_coefficients(lam, r: int, q: int) -> None:

@@ -8,7 +8,7 @@ def corrupt_prefix_vectors(monkeypatch):
     """Call with (r, d, q) to make the solver's elimination return its kernel
     vector with one coordinate shifted off the kernel; it asserts that only
     the cut system reaches it: with k = min(q, r*d + 1), the
-    n = d * C(k-1, r-1) equations avoiding particle k, which span the row
+    n = d * C(k-1, r-1) equations avoiding particle 1, which span the row
     space of all the k particles' equations (the row dependences), cut to
     their first m = min(n + 1, C(k, r)) columns, which hold a free column when
     m = n + 1 since n rows hold at most n pivots."""

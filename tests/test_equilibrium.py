@@ -175,11 +175,12 @@ PREFIX_SHAPES = [
 ]
 
 
-def test_solver_eliminates_the_rows_avoiding_particle_k_over_m_columns(monkeypatch):
+def test_solver_eliminates_the_rows_avoiding_particle_1_over_m_columns(monkeypatch):
     """Every shape, one rule: with k = min(q, r*d + 1), the n = d * C(k-1, r-1)
-    leading rows, the equations avoiding particle k, over the first
-    m = min(n + 1, C(k, r)) columns.  Colex order makes them the full
-    system's leading rows too, cut to its first m columns."""
+    rows of the first k particles' equation blocks that avoid particle 1, in
+    colex order, over the first m = min(n + 1, C(k, r)) columns.  Colex order
+    lists the first k particles' blocks first, so they are the full system's
+    rows of those blocks too, cut to its first m columns."""
     import equidet.equilibrium as equilibrium
     from equidet import kernel_vector
 
@@ -188,15 +189,23 @@ def test_solver_eliminates_the_rows_avoiding_particle_k_over_m_columns(monkeypat
     rng = random.Random(74)
     for r, d, q in PREFIX_SHAPES:
         f = random_force_system(r, d, q, 5, rng)
-        full = build_equilibrium_system(f).full_matrix
+        system = build_equilibrium_system(f)
         seen.clear()
         solve_nontrivial(f)
         (m,) = seen
         k = min(q, r * d + 1)
         n = d * comb(k - 1, r - 1)
         cols = min(n + 1, comb(k, r))
+        k_rows = d * comb(k, r - 1)
+        assert all(max(block, default=0) <= k for block, _ in system.row_labels[:k_rows])
+        kept = [
+            row
+            for row, (block, _) in zip(system.full_matrix.sparse[:k_rows], system.row_labels)
+            if 1 not in block
+        ]
+        assert len(kept) == n
         assert (m.rows, m.cols) == (n, cols)
-        assert m.sparse == [{j: x for j, x in row.items() if j < cols} for row in full.sparse[:n]]
+        assert m.sparse == [{j: x for j, x in row.items() if j < cols} for row in kept]
 
 
 def test_nonzero_determinant_blocks_solutions():

@@ -1,16 +1,18 @@
 """The solver's one elimination against the full-system kernel vector.
 
 With k = min(q, r*d + 1), the solver eliminates only the n = d * C(k-1, r-1)
-equations avoiding particle k, cut to their first m = min(n + 1, C(k, r))
-columns.  The row dependences make every equation block containing k a
-combination of those rows on the first k particles' columns, so they keep the
-kernel.  For q <= r*d that is the whole system (k = q and m = C(q, r)); for
-q > r*d, n rows hold at most n pivots, so the first free column is among the
-first n + 1, all on the first k particles.  Its family must still be exactly
-the first kernel vector of the full system, on every small shape and on
-integer, fractional, sparse and all-zero forces.  The solver builds only the
-first k particles' system over those m columns, and its vector solves every
-equation of the full system.
+equations of the first k particles that avoid particle 1, cut to their first
+m = min(n + 1, C(k, r)) columns.  The row dependences make every equation
+block containing particle 1 a combination of those rows on the first k
+particles' columns, so they keep the kernel.  For q <= r*d that is the whole
+system (k = q and m = C(q, r)); for q > r*d, n rows hold at most n pivots, so
+the first free column is among the first n + 1, all on the first k
+particles.  Its family must still be exactly the first kernel vector of the
+full system, on every small shape and on integer, fractional, sparse and
+all-zero forces, and on simplex forces (cross products, pair differences and
+wedges on either side of q = r*d and at it), whose first free column comes
+early.  The solver builds only the first k particles' system over those m
+columns, and its vector solves every equation of the full system.
 """
 
 import random
@@ -28,8 +30,10 @@ from equidet import (
     cross_product_forces,
     dump_tensor,
     kernel_vector,
+    simplex_forces,
     solve_nontrivial,
     subsets_colex,
+    wedge_forces,
 )
 from equidet.cli import main
 
@@ -72,6 +76,33 @@ def test_solver_matches_the_full_system_kernel_vector(r, d, q, kind):
         assert lam is None
     else:
         assert lam.canonical == {t: x for t, x in zip(system.col_labels, vec) if x}
+
+
+def simplex_inputs():
+    """Cross products (r = d = 3), pair differences (r = 2 in 3-space, d = 3)
+    and wedges (r = 3 in 4-space, d = 6) of seeded integer points, at
+    q < r*d, q = r*d and q > r*d."""
+    families = [("cross", 3, 3, (7, 9, 11)), ("differences", 2, 3, (5, 6, 8)), ("wedge", 3, 4, (17, 18, 19))]
+    for name, r, s, qs in families:
+        for q in qs:
+            rng = random.Random(6000 * r + 100 * s + q)
+            points = [tuple(rng.randint(-4, 4) for _ in range(s)) for _ in range(q)]
+            if name == "cross":
+                f = cross_product_forces(points)
+            elif name == "wedge" and q == 18:
+                f = wedge_forces(s, points)
+            else:
+                f = simplex_forces(r, points)
+            yield pytest.param(f, id=f"{name}-q{q}")
+
+
+@pytest.mark.parametrize("f", simplex_inputs())
+def test_solver_matches_the_full_system_kernel_vector_on_simplex_forces(f):
+    system = build_equilibrium_system(f)
+    vec = kernel_vector(system.full_matrix)
+    assert vec is not None
+    lam = solve_nontrivial(f)
+    assert lam.canonical == {t: x for t, x in zip(system.col_labels, vec) if x}
 
 
 OVERDET = [(r, d, q) for r, d, q in SHAPES if q > r * d]
@@ -153,7 +184,7 @@ CROSS_POINTS = [
 @pytest.mark.parametrize("points", CROSS_POINTS, ids=["cross-q7", "cross-q9"])
 def test_a_corrupted_vector_fails_where_q_is_at_most_r_d(tmp_path, corrupt_prefix_vectors, capsys, points):
     # cross-product forces (r = d = 3) have a kernel at q <= r*d, and the
-    # solver eliminates only the rows avoiding particle q: the vector is still
+    # solver eliminates only the rows avoiding particle 1: the vector is still
     # checked on every row
     f = cross_product_forces(points)
     assert solve_nontrivial(f) is not None

@@ -5,7 +5,16 @@ from itertools import combinations
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from equidet import ForceSystem, VectorConfiguration, tensor_from_json, tensor_to_json, tensorfile, tensors
+from equidet import (
+    CoefficientSystem,
+    ForceSystem,
+    VectorConfiguration,
+    det_sr,
+    tensor_from_json,
+    tensor_to_json,
+    tensorfile,
+    tensors,
+)
 from equidet.tensorfile import dump_tensor, format_scalar, load_tensor, parse_scalar
 
 
@@ -176,8 +185,18 @@ def test_malformed_documents_rejected(mutate):
 def test_non_object_document_rejected():
     with pytest.raises(ValueError):
         tensor_from_json([1, 2, 3])
-    with pytest.raises(ValueError):
+    with pytest.raises(TypeError):
         tensor_to_json(object())
+
+
+@pytest.mark.parametrize("obj", [CoefficientSystem(2, 3), object(), {}], ids=["coefficients", "object", "dict"])
+def test_the_writer_and_det_sr_refuse_other_objects_by_one_kind_rule(obj):
+    # one kind rule, tensors._values, for the writer and the square system: a TypeError naming the type
+    name = type(obj).__name__
+    with pytest.raises(TypeError, match=f"got {name}$"):
+        tensor_to_json(obj)
+    with pytest.raises(TypeError, match=f"got {name}$"):
+        det_sr(obj)
 
 
 def test_zero_vectors_dropped_on_write():
