@@ -17,11 +17,22 @@ slot, and vanishes when all r-subsets of some r+1 particles share one vector.
 :func:`det_sr` takes det(Force(x)) times det(D), and det(Tau) for a
 configuration: ``tensors._values``, the one kind rule, tells which.  Column
 M + {q} is u = x[M + {q}] in block M alone, unsigned since q sorts last;
-pivoting it on u's first nonzero a = u[k0] leaves ``det_exact`` the Schur
-complement S over the C(q-1, r) columns avoiding q, rows
-a * row(M, k) - u[k] * row(M, k0), and det = (-1)^e det(S) prod a^(2-d),
-e = sum (d-1-k0) + the cached parity of (d-1) N(N-1)/2, det(D) and, for a
-configuration, det(Tau), N = C(q-1, r-1).
+pivoting it on u's first nonzero a = u[k0] leaves the Schur complement S
+over the C(q-1, r) columns avoiding q, rows a * row(M, k) - u[k] * row(M, k0),
+and det = (-1)^e det(S) prod a^(2-d), e = sum (d-1-k0) + the cached parity
+of (d-1) N(N-1)/2, det(D) and, for a configuration, det(Tau), N = C(q-1, r-1).
+
+The same holds one particle down.  In S, column M + {q-1} of a block M
+avoiding q-1 meets no other such block, and a block holding q-1 has entries
+only in columns holding q-1.  Pivoting each such column on the first row of
+its block with an entry a' there is a Bareiss pass over a diagonal pivot
+block: a row meeting pivot rows P with entries f becomes L * row - sum
+f (L/a') P, L the product of their a', and holds its dense value times
+L / prod a'.  ``exact._eliminate`` resumes that pass from these stamps L and
+prev = prod a' on the rest, the C(q-2, r) columns avoiding q-1 and a column
+left unpivoted as its block has no entry there, so its entries stay minors
+of S and its last pivot is det(S) up to the sign of moving the level-2
+pivot rows and columns to the front.
 
 Where each nonzero goes, and its sign, depend only on the shape (r, d, q).
 That layout of the full system, with its labels, each block's slots M + {i}
@@ -40,7 +51,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .combinat import subsets_colex
-from .exact import Matrix, det_exact
+from .exact import Matrix, _sparse_rows, det_exact
 from .tensors import CoefficientSystem, _check_coefficients, _tau, _tau_negates, _values
 
 
@@ -161,13 +172,15 @@ def build_system_matrix(v) -> SystemMatrix:
 
 def det_sr(v) -> Fraction:
     """Exact determinant of the square system of ``v``, either kind: det(Force(x))
-    through the Schur complement S above, times the sign of its shape and kind.
+    through the Schur complement S and its two levels above, times the sign of
+    its shape and kind.
 
     S is built one block M at a time from the block's slots in the layout:
     the head u = v[M + {q}] gives the pivot a = u[k0], and each k != k0 one
     row of S, a * w[k] - u[k] * w[k0] (negated where the slot's sign is) over
     the block's stored vectors w.  A missing or zero head returns 0 before
-    any row is built."""
+    any row is built, a column of S with no entry before any elimination;
+    p/q entries are cleared before level 2, and the factor divides at the end."""
     r, d, q, values, configuration = _square_shape(v)
     _, blocks, parities, *_ = _incidence_pattern(r, d, q)
     get = values.get
@@ -191,9 +204,40 @@ def det_sr(v) -> Fraction:
                     for j, t, negate in slots
                     if (w := get(t)) and (x := a * w[k] - c * w[k0])
                 })
-    value = det_exact(Matrix._from_sparse(rows, comb(q - 1, r)))
-    if e & 1:
-        value = -value
+    ncols = comb(q - 1, r)
+    if len(set().union(*rows)) < ncols:  # a column of S with no entry
+        return Fraction(0)
+    rows, clearing = _sparse_rows(Matrix._from_sparse(rows, ncols))
+    # level 2: colex lists the n2 blocks avoiding q-1 first; M + {q-1} is slot -2
+    n2 = comb(q - 2, r - 1) if d > 1 else 0  # d = 1: S is empty (and q - 2 may be -1)
+    lead = ncols - n2  # S's columns avoiding q-1, which it lists first
+    heads, free = {}, {}
+    for b in range(n2):
+        c = blocks[b][-2][0]
+        i = next((i for i in range(b * (d - 1), (b + 1) * (d - 1)) if c in rows[i]), None)
+        if i is None:  # no entry in its block: the column is renumbered for the pass
+            free[c] = lead + len(free)
+        else:
+            heads[c] = rows[i][c], i
+            e += i + c  # sum (position - k) over the pivot rows and the columns: the k cancel
+    taken, rest, stamp = {i for _, i in heads.values()}, [], []
+    for row in (row for i, row in enumerate(rows) if i not in taken):
+        met = [c for c in row if c in heads]
+        scale = prod(heads[c][0] for c in met)
+        if met:
+            new = {j: scale * x for j, x in row.items()}
+            for c in met:
+                a, p = heads[c]
+                f = row[c] * (scale // a)
+                for j, y in rows[p].items():
+                    new[j] = new.get(j, 0) - f * y
+            row = {j: x for j, x in new.items() if x}
+        rest.append({free.get(j, j): x for j, x in row.items()} if free else row)
+        stamp.append(scale)
+    prev = prod(a for a, _ in heads.values())
+    # an integer, as every row of the rest is
+    det = det_exact(Matrix._from_sparse(rest, ncols - len(heads)), stamp=stamp, prev=prev).numerator
+    value = Fraction(-det if e & 1 else det, clearing)
     return value if d == 2 else value * Fraction(prod(pivots)) ** (2 - d)
 
 

@@ -19,7 +19,10 @@ updated while pivot t was current holds its dense value times t / prev.
 Eliminating it with the new pivot p_k and multiplier f is therefore
 (x*p_k - f*y) // t, and a pivot row is brought up to date once as
 x*prev // t.  The Sylvester identity makes both divisions exact, and every
-row equals what the dense pass computes.
+row equals what the dense pass computes.  So ``det_exact`` can resume a
+pass whose first pivot steps were taken elsewhere (``detmap.det_sr`` does):
+it gets the rows left, without those pivot rows and columns, a stamp t per
+row and prev, and its last pivot is that of the whole pass.
 
 Callers differ only in the order columns are taken.  Kernels go left to
 right, so the free columns, and with them the kernel basis, are those of the
@@ -136,7 +139,7 @@ def _sparse_rows(m: Matrix):
     return rows, clearing
 
 
-def _eliminate(rows, ncols, fewest_rows_first=False):
+def _eliminate(rows, ncols, fewest_rows_first=False, stamp=None, prev=1):
     """Lazy fraction-free forward elimination over sparse rows, never mutating a row dict.
 
     Yields one step per column, in elimination order: ``(column, i)`` when
@@ -144,7 +147,9 @@ def _eliminate(rows, ncols, fewest_rows_first=False):
     yielded, or ``(column, None)`` when the column has no active entry and is
     free.  Columns are taken left to right, or with ``fewest_rows_first`` the
     remaining column with the fewest active rows first (lowest index on ties).
-    A caller stops the pass by leaving its loop.
+    A caller stops the pass by leaving its loop.  ``stamp`` (one per row,
+    updated in place) and ``prev`` resume a pass whose pivot rows and columns
+    are gone, as in the module docstring; a fresh pass has all of them 1.
     """
     # active[c]: rows not yet used as pivots that have a nonzero in column c
     active = [set() for _ in range(ncols)]
@@ -152,9 +157,8 @@ def _eliminate(rows, ncols, fewest_rows_first=False):
         for j in row:
             active[j].add(i)
     # the pivot that was current when each row was last updated
-    stamp = [1] * len(rows)
+    stamp = stamp or [1] * len(rows)
     remaining = list(range(ncols))
-    prev = 1
     for step in range(ncols):
         if fewest_rows_first:
             c = min(remaining, key=list(map(len, active)).__getitem__)
@@ -195,16 +199,21 @@ def _eliminate(rows, ncols, fewest_rows_first=False):
         yield c, p
 
 
-def det_exact(m: Matrix) -> Fraction:
-    """Exact determinant of a square matrix."""
+def det_exact(m: Matrix, *, stamp=None, prev=1) -> Fraction:
+    """Exact determinant of a square matrix.
+
+    Given ``stamp`` (one per row, updated in place) and ``prev``, the pass
+    resumes one whose first pivot steps were taken elsewhere, as in the module
+    docstring: the result is then the determinant of the matrix it started on,
+    with those steps' pivot rows and columns moved to the front."""
     if m.rows != m.cols:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
     rows, clearing = _sparse_rows(m)
     # sign(row order) * sign(column order) is the sign of the row order
     # composed with the inverse column order
     perm = [0] * m.rows
-    pivot = 1
-    for c, p in _eliminate(rows, m.cols, fewest_rows_first=True):
+    pivot = prev
+    for c, p in _eliminate(rows, m.cols, True, stamp, prev):
         if p is None:
             return Fraction(0)
         perm[c] = p

@@ -572,16 +572,47 @@ def test_det_sr_matches_on_planted_zeros_at_84_columns():
         assert det_sr(cfg) == whole_system_det(cfg) == 0
 
 
-def test_det_sr_eliminates_only_the_schur_complement(monkeypatch):
+def level_two_columns(r, d):
+    """Tuples M + {q-1} with M avoiding q-1 and q: the columns det_sr pivots inside
+    S's blocks, one per block M, in colex order of M."""
+    q = r * d
+    return [t for t in subsets_colex(q - 1, r) if t[-1] == q - 1]
+
+
+def unpivoted(v, r, d):
+    """Number of blocks M avoiding q-1 whose column M + {q-1} has no entry in
+    its own rows of S: the slot there is parallel to the head M + {q}."""
+    q = r * d
+    return sum(
+        all(u[i] * w[j] == u[j] * w[i] for i, j in combinations(range(d), 2))
+        for u, w in ((v.get(t[:-1] + (q,)), v.get(t)) for t in level_two_columns(r, d))
+    )
+
+
+def left_to_the_pass(v, r, d):
+    """The square the resumed pass gets: S's C(q-2, r) columns avoiding q-1 plus
+    its unpivoted level-2 columns, and as many rows."""
+    q = r * d
+    n = comb(q - 1, r) - comb(q - 2, r - 1) + unpivoted(v, r, d) if d > 1 else 0
+    return (n, n)
+
+
+@pytest.fixture
+def passes(monkeypatch):
+    """The (rows, columns) of every resumed pass det_sr runs."""
     import equidet.detmap as detmap
 
     seen = []
 
-    def recorder(m):
+    def recorder(m, **resume):
         seen.append((m.rows, m.cols))
-        return det_exact(m)
+        return det_exact(m, **resume)
 
     monkeypatch.setattr(detmap, "det_exact", recorder)
+    return seen
+
+
+def test_det_sr_eliminates_only_what_both_levels_leave(passes):
     rng = random.Random("schur-recorder")
     for r, d in SQUARE_SHAPES:
         q = r * d
@@ -589,49 +620,179 @@ def test_det_sr_eliminates_only_the_schur_complement(monkeypatch):
         for t in heads(r, d):
             if t not in v.entries:
                 v = v.with_slot(t, (1,) * d)
-        seen.clear()
+        passes.clear()
         expected = det_sr(v)
-        assert seen == [(comb(q - 1, r), comb(q - 1, r))], (r, d)
+        if expected:
+            assert passes == [left_to_the_pass(v, r, d)], (r, d)
+        else:  # a column of S with no entry: no elimination runs
+            assert passes == []
         assert expected == whole_system_det(v)
         # a missing head, or an all-zero one, is a zero column: no elimination runs
         zero_head = VectorConfiguration._from_checked(r, d, q, {**v.entries, heads(r, d)[-1]: (0,) * d})
-        seen.clear()
+        passes.clear()
         assert det_sr(v.with_slot(heads(r, d)[-1], (0,) * d)) == det_sr(zero_head) == 0
-        assert seen == []
+        assert passes == []
 
 
 @pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3), (3, 3)])
-def test_det_sr_on_an_empty_block_and_a_zero_middle_head(monkeypatch, r, d):
-    import equidet.detmap as detmap
-
-    seen = []
-
-    def recorder(m):
-        seen.append((m.rows, m.cols))
-        return det_exact(m)
-
-    monkeypatch.setattr(detmap, "det_exact", recorder)
+def test_det_sr_on_an_empty_block_and_a_zero_middle_head(passes, r, d):
     rng = random.Random(f"schur-empty-{r}-{d}")
     q = r * d
     v = random_configuration(r, d, 5, rng)
-    for t in heads(r, d):
-        v = v.with_slot(t, tuple(rng.choice((-3, -1, 2, 5)) for _ in range(d)))
+    # no two heads parallel, so a slot parallel to one head meets every other block
+    for n, t in enumerate(heads(r, d)):
+        v = v.with_slot(t, tuple(rng.choice((-1, 1)) * (n + 2) ** k for k in range(d)))
     # a block avoiding q from the middle of the colex order, neither first nor last
     blocks = subsets_colex(q - 1, r - 1)
     m = blocks[len(blocks) // 2]
     assert 0 < blocks.index(m) < len(blocks) - 1
-    # every slot of block M but its head zeroed: the block's d-1 rows of S are empty
+    head = v.get(m + (q,))
+    assert head != (0,) * d
+    # every slot of block M but its head a multiple of it: the block's d-1 rows
+    # of S are empty while each of its columns meets other blocks
     empty = v
+    for s, i in enumerate(i for i in range(1, q) if i not in m):
+        empty = empty.with_slot(tuple(sorted(m + (i,))), tuple((s % 3 + 1) * (-1) ** s * x for x in head))
+    passes.clear()
+    assert det_sr(empty) == whole_system_det(empty) == 0
+    assert passes == [left_to_the_pass(empty, r, d)]
+    # zeroed instead, those slots leave columns of S with no entry: no elimination runs
+    zeroed = v
     for i in range(1, q):
         if i not in m:
-            empty = empty.with_slot(tuple(sorted(m + (i,))), (0,) * d)
-    assert empty.get(m + (q,)) == v.get(m + (q,)) != (0,) * d
-    seen.clear()
-    assert det_sr(empty) == whole_system_det(empty) == 0
-    assert seen == [(comb(q - 1, r), comb(q - 1, r))]
+            zeroed = zeroed.with_slot(tuple(sorted(m + (i,))), (0,) * d)
+    passes.clear()
+    assert det_sr(zeroed) == whole_system_det(zeroed) == 0
+    assert passes == []
     # block M's head stored as a zero vector: a zero column, and no elimination runs
     zero_head = VectorConfiguration._from_checked(r, d, q, {**v.entries, m + (q,): (0,) * d})
-    seen.clear()
+    passes.clear()
     assert det_sr(zero_head) == 0
-    assert seen == []
+    assert passes == []
     assert whole_system_det(zero_head) == 0
+
+
+def nonzero_slots(r, d, q, rng, bound=5):
+    """Force system with a nonzero integer vector in [-bound, bound] on every
+    slot; bound 30 keeps a head and a slot of its block from being parallel by
+    chance in the tests below."""
+    vectors = {}
+    for t in subsets_colex(q, r):
+        while not any(vec := tuple(rng.randint(-bound, bound) for _ in range(d))):
+            pass
+        vectors[t] = vec
+    return ForceSystem(r, d, q, vectors)
+
+
+@pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
+def test_det_sr_renumbers_the_column_of_a_block_left_unpivoted(passes, r, d):
+    # slot M + {q-1} parallel to the head M + {q}: block M's rows of S have no
+    # entry in column M + {q-1}, which the pass gets after the columns avoiding q-1
+    rng = random.Random(f"level-two-unpivoted-{r}-{d}")
+    q = r * d
+    columns = level_two_columns(r, d)
+    for picked in ([columns[0]], [columns[len(columns) // 2]], columns[::2]):
+        f = nonzero_slots(r, d, q, rng, 30)
+        vectors = dict(f.canonical)
+        for s, t in enumerate(picked):
+            vectors[t] = tuple((-2, 3)[s % 2] * x for x in vectors[t[:-1] + (q,)])
+        f = ForceSystem(r, d, q, vectors)
+        passes.clear()
+        value = det_sr(f)
+        assert value == whole_system_det(f) != 0, (r, d, picked)
+        assert unpivoted(f, r, d) == len(picked)
+        assert passes == [left_to_the_pass(f, r, d)]
+
+
+@pytest.mark.parametrize("r, d", [(1, 3), (2, 3), (3, 3), (2, 4), (1, 5)])
+def test_det_sr_takes_a_level_two_pivot_below_a_blocks_first_row(r, d):
+    # head u = (1, u1, u2, ...) and slot M + {q-1} w = (w0, u1 * w0, u2 * w0 + z, ...),
+    # z != 0: the first row of S, w[1] - u1 * w[0], is zero there, the second row the pivot
+    rng = random.Random(f"level-two-second-row-{r}-{d}")
+    q = r * d
+    nonzero = [x for x in range(-30, 31) if x]
+    for every in (False, True):
+        f = nonzero_slots(r, d, q, rng, 30)
+        vectors = dict(f.canonical)
+        for n, t in enumerate(level_two_columns(r, d)):
+            if every or n % 2:
+                u = vectors[t[:-1] + (q,)] = (1, *(rng.choice(nonzero) for _ in range(d - 1)))
+                w0 = rng.choice(nonzero)
+                vectors[t] = (w0, u[1] * w0, *(u[k] * w0 + rng.choice(nonzero) for k in range(2, d)))
+        f = ForceSystem(r, d, q, vectors)
+        assert det_sr(f) == whole_system_det(f) != 0, (r, d, every)
+
+
+@pytest.mark.parametrize("r, d", [(1, 2), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_det_sr_clears_p_q_entries_before_level_two(r, d):
+    # p/q values only on the level-2 slots M + {q-1}, then on every slot
+    rng = random.Random(f"level-two-fractions-{r}-{d}")
+    q = r * d
+    for _ in range(3):
+        f = nonzero_slots(r, d, q, rng)
+        some = {**f.canonical, **{t: tuple(Fraction(x, rng.randint(2, 7)) for x in f.canonical[t])
+                                 for t in level_two_columns(r, d)}}
+        every = {t: tuple(Fraction(x, rng.randint(1, 7)) for x in vec) for t, vec in f.canonical.items()}
+        for vectors in (some, every):
+            f = ForceSystem(r, d, q, vectors)
+            assert det_sr(f) == whole_system_det(f) == det_sr(f.to_configuration()), (r, d)
+
+
+@pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3), (3, 3)])
+def test_det_sr_on_cliques_holding_q_minus_1_and_an_empty_column(passes, r, d):
+    rng = random.Random(f"level-two-cliques-{r}-{d}")
+    q = r * d
+    for clique in (
+        sorted(rng.sample(range(1, q - 1), r - 1)) + [q - 1, q],  # holds q-1 and q: column clique - {q} is empty
+        sorted(rng.sample(range(1, q - 1), r)) + [q - 1],  # holds q-1, not q: both levels run
+    ):
+        f = nonzero_slots(r, d, q, rng)
+        shared = f.canonical[tuple(clique[:r])]
+        f = ForceSystem(r, d, q, {**f.canonical, **{t: shared for t in combinations(clique, r)}})
+        passes.clear()
+        assert det_sr(f) == whole_system_det(f) == 0, clique
+        assert passes == ([] if q in clique else [left_to_the_pass(f, r, d)]), clique
+    # a zero slot avoiding q is a column of S with no entry: 0 before level 2
+    f = nonzero_slots(r, d, q, rng)
+    t = rng.choice([t for t in subsets_colex(q, r) if q not in t])
+    f = ForceSystem(r, d, q, {k: vec for k, vec in f.canonical.items() if k != t})
+    passes.clear()
+    assert det_sr(f) == whole_system_det(f) == 0
+    assert passes == []
+
+
+@pytest.mark.parametrize("r, d", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 1), (3, 1), (4, 1), (5, 1)])
+def test_det_sr_at_r_1_and_d_1(passes, r, d):
+    # r = 1: one block, the empty set, and no block holding q-1; d = 1: S is empty
+    rng = random.Random(f"level-two-edges-{r}-{d}")
+    q = r * d
+    for bound in (1, 2, 5):
+        for _ in range(4):
+            f = random_force_system(r, d, q, bound, rng)
+            passes.clear()
+            value = det_sr(f)
+            if value:
+                assert passes == [left_to_the_pass(f, r, d)]
+            assert value == whole_system_det(f) == det_sr(f.to_configuration()), (r, d, bound)
+    if r == 1:
+        # the slot (q-1,) parallel to the head (q,): with no block holding q-1, an empty column
+        f = nonzero_slots(r, d, q, rng)
+        f = ForceSystem(r, d, q, {**f.canonical, (q - 1,): tuple(-x for x in f.canonical[(q,)])})
+        passes.clear()
+        assert det_sr(f) == whole_system_det(f) == 0
+        assert passes == []
+
+
+@pytest.mark.parametrize("r, d", [(3, 4), (5, 2)])
+def test_det_sr_matches_the_whole_system_at_220_and_252_columns(r, d):
+    # two square sizes of the north star that no benchmark workload runs
+    rng = random.Random(f"north-star-{r}-{d}")
+    q = r * d
+    f = nonzero_slots(r, d, q, rng)
+    assert det_sr(f) == whole_system_det(f) != 0
+    if r == 3:
+        # planted zero: every 3-subset of four particles away from q shares one vector
+        clique = rng.sample(range(1, q), 4)
+        shared = f.canonical[tuple(sorted(clique[:3]))]
+        f = ForceSystem(r, d, q, {**f.canonical, **{tuple(sorted(t)): shared for t in combinations(clique, 3)}})
+        assert det_sr(f) == whole_system_det(f) == 0

@@ -451,3 +451,25 @@ def test_rank_reads_every_column(eliminate_steps):
         [steps] = eliminate_steps
         assert sorted(c for c, _ in steps) == list(range(m.cols))
         assert rank == sum(p is not None for _, p in steps)
+
+
+def test_a_resumed_pass_ends_on_the_whole_determinant():
+    # one pivot (i0, j0) taken outside the pass: a row with an entry f in column j0
+    # becomes a * row - f * P with stamp a, any other row stays with stamp 1, and
+    # both are handed on without row i0 and column j0, with prev = a
+    rng = random.Random("resumed-pass")
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        rows = [[rng.choice((0, 0, 0, -3, -1, 1, 2, 5)) for _ in range(n)] for _ in range(n)]
+        i0, j0 = rng.randrange(n), rng.randrange(n)
+        rows[i0][j0] = a = rng.choice((-4, -2, 3, 7))
+        pivot = rows[i0]
+        rest, stamp = [], []
+        for i, row in enumerate(rows):
+            if i != i0:
+                f = row[j0]
+                new = [a * x - f * y for x, y in zip(row, pivot)] if f else row
+                rest.append({c - (c > j0): x for c, x in enumerate(new) if x and c != j0})
+                stamp.append(a if f else 1)
+        sign = (-1) ** (i0 + j0)  # moving row i0 and column j0 to the front
+        assert sign * exact.det_exact(Matrix._from_sparse(rest, n - 1), stamp=stamp, prev=a) == det_cofactor(rows), rows
