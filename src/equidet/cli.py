@@ -96,6 +96,7 @@ def cmd_example(args) -> int:
         _check_integer("--d", args.d, 1)
         obj = difference_configuration([random_point(args.d) for _ in range(2 * args.d)])
     else:  # wedge
+        _check_integer("--s", args.s, 3)
         count = 3 * comb(args.s, 2)
         obj = wedge_forces(args.s, [random_point(args.s) for _ in range(count)])
     dump_tensor(obj, args.output)

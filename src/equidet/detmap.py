@@ -22,17 +22,10 @@ over the C(q-1, r) columns avoiding q, rows a * row(M, k) - u[k] * row(M, k0),
 and det = (-1)^e det(S) prod a^(2-d), e = sum (d-1-k0) + the cached parity
 of (d-1) N(N-1)/2, det(D) and, for a configuration, det(Tau), N = C(q-1, r-1).
 
-The same holds one particle down.  In S, column M + {q-1} of a block M
+The same holds one particle down: in S, column M + {q-1} of a block M
 avoiding q-1 meets no other such block, and a block holding q-1 has entries
-only in columns holding q-1.  Pivoting each such column on the first row of
-its block with an entry a' there is a Bareiss pass over a diagonal pivot
-block: a row meeting pivot rows P with entries f becomes L * row - sum
-f (L/a') P, L the product of their a', and holds its dense value times
-L / prod a'.  ``exact._eliminate`` resumes that pass from these stamps L and
-prev = prod a' on the rest, the C(q-2, r) columns avoiding q-1 and a column
-left unpivoted as its block has no entry there, so its entries stay minors
-of S and its last pivot is det(S) up to the sign of moving the level-2
-pivot rows and columns to the front.
+only in columns holding q-1, so each such column and its block's first row
+with an entry there are a pair of the pivot block ``det_exact`` takes first.
 
 Where each nonzero goes, and its sign, depend only on the shape (r, d, q).
 That layout of the full system, with its labels, each block's slots M + {i}
@@ -51,7 +44,7 @@ from math import comb, prod
 from typing import NamedTuple
 
 from .combinat import subsets_colex
-from .exact import Matrix, _sparse_rows, det_exact
+from .exact import Matrix, det_exact
 from .tensors import CoefficientSystem, _check_coefficients, _tau, _tau_negates, _values
 
 
@@ -179,13 +172,12 @@ def det_sr(v) -> Fraction:
     the head u = v[M + {q}] gives the pivot a = u[k0], and each k != k0 one
     row of S, a * w[k] - u[k] * w[k0] (negated where the slot's sign is) over
     the block's stored vectors w.  A missing or zero head returns 0 before
-    any row is built, a column of S with no entry before any elimination;
-    p/q entries are cleared before level 2, and the factor divides at the end."""
+    any row is built, a column of S with no entry before any elimination."""
     r, d, q, values, configuration = _square_shape(v)
     _, blocks, parities, *_ = _incidence_pattern(r, d, q)
     get = values.get
     e = parities[configuration]
-    pivots = []
+    heads = []
     rows = []
     for slots in blocks:
         u = get(slots[-1][1], ())  # the head M + {q}
@@ -195,7 +187,7 @@ def det_sr(v) -> Fraction:
         else:  # no head, or a zero one: a zero column
             return Fraction(0)
         e += d - 1 - k0
-        pivots.append(a)
+        heads.append(a)
         # the head's own entry is a * u[k] - u[k] * a = 0, so it drops out
         for k, c in enumerate(u):
             if k != k0:
@@ -207,38 +199,18 @@ def det_sr(v) -> Fraction:
     ncols = comb(q - 1, r)
     if len(set().union(*rows)) < ncols:  # a column of S with no entry
         return Fraction(0)
-    rows, clearing = _sparse_rows(Matrix._from_sparse(rows, ncols))
     # level 2: colex lists the n2 blocks avoiding q-1 first; M + {q-1} is slot -2
     n2 = comb(q - 2, r - 1) if d > 1 else 0  # d = 1: S is empty (and q - 2 may be -1)
-    lead = ncols - n2  # S's columns avoiding q-1, which it lists first
-    heads, free = {}, {}
-    for b in range(n2):
-        c = blocks[b][-2][0]
-        i = next((i for i in range(b * (d - 1), (b + 1) * (d - 1)) if c in rows[i]), None)
-        if i is None:  # no entry in its block: the column is renumbered for the pass
-            free[c] = lead + len(free)
-        else:
-            heads[c] = rows[i][c], i
-            e += i + c  # sum (position - k) over the pivot rows and the columns: the k cancel
-    taken, rest, stamp = {i for _, i in heads.values()}, [], []
-    for row in (row for i, row in enumerate(rows) if i not in taken):
-        met = [c for c in row if c in heads]
-        scale = prod(heads[c][0] for c in met)
-        if met:
-            new = {j: scale * x for j, x in row.items()}
-            for c in met:
-                a, p = heads[c]
-                f = row[c] * (scale // a)
-                for j, y in rows[p].items():
-                    new[j] = new.get(j, 0) - f * y
-            row = {j: x for j, x in new.items() if x}
-        rest.append({free.get(j, j): x for j, x in row.items()} if free else row)
-        stamp.append(scale)
-    prev = prod(a for a, _ in heads.values())
-    # an integer, as every row of the rest is
-    det = det_exact(Matrix._from_sparse(rest, ncols - len(heads)), stamp=stamp, prev=prev).numerator
-    value = Fraction(-det if e & 1 else det, clearing)
-    return value if d == 2 else value * Fraction(prod(pivots)) ** (2 - d)
+    pivots = []
+    for b, slots in enumerate(blocks[:n2]):
+        c = slots[-2][0]  # with no entry in its block's rows, c is left to the pass
+        for i in range(b * (d - 1), (b + 1) * (d - 1)):
+            if c in rows[i]:
+                pivots.append((c, i))
+                break
+    det = det_exact(Matrix._from_sparse(rows, ncols), pivots=pivots)
+    value = -det if e & 1 else det
+    return value if d == 2 else value * Fraction(prod(heads)) ** (2 - d)
 
 
 def check_dependence_relations(v, lam: CoefficientSystem) -> bool:

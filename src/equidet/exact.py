@@ -19,10 +19,12 @@ updated while pivot t was current holds its dense value times t / prev.
 Eliminating it with the new pivot p_k and multiplier f is therefore
 (x*p_k - f*y) // t, and a pivot row is brought up to date once as
 x*prev // t.  The Sylvester identity makes both divisions exact, and every
-row equals what the dense pass computes.  So ``det_exact`` can resume a
-pass whose first pivot steps were taken elsewhere (``detmap.det_sr`` does):
-it gets the rows left, without those pivot rows and columns, a stamp t per
-row and prev, and its last pivot is that of the whole pass.
+row equals what the dense pass computes.  So a pass can open on a diagonal
+pivot block, ``(column, row)`` pairs with entries a' where no pivot row holds
+another pair's column (``det_exact``'s ``pivots``): taken as one step, a row
+meeting pivot rows P with entries f becomes L * row - sum f (L/a') P, L the
+product of the a' it met, its dense value times L / prod a', so it gets
+stamp L and the pass goes on from prev = prod a' to the same last pivot.
 
 Callers differ only in the order columns are taken.  Kernels go left to
 right, so the free columns, and with them the kernel basis, are those of the
@@ -43,7 +45,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import chain, compress, count
-from math import gcd, lcm
+from math import gcd, lcm, prod
 
 from .combinat import permutation_sign
 
@@ -139,7 +141,7 @@ def _sparse_rows(m: Matrix):
     return rows, clearing
 
 
-def _eliminate(rows, ncols, fewest_rows_first=False, stamp=None, prev=1):
+def _eliminate(rows, ncols, fewest_rows_first=False, pivots=()):
     """Lazy fraction-free forward elimination over sparse rows, never mutating a row dict.
 
     Yields one step per column, in elimination order: ``(column, i)`` when
@@ -147,24 +149,40 @@ def _eliminate(rows, ncols, fewest_rows_first=False, stamp=None, prev=1):
     yielded, or ``(column, None)`` when the column has no active entry and is
     free.  Columns are taken left to right, or with ``fewest_rows_first`` the
     remaining column with the fewest active rows first (lowest index on ties).
-    A caller stops the pass by leaving its loop.  ``stamp`` (one per row,
-    updated in place) and ``prev`` resume a pass whose pivot rows and columns
-    are gone, as in the module docstring; a fresh pass has all of them 1.
+    A caller stops the pass by leaving its loop.  ``pivots``, a diagonal pivot
+    block ``det_exact`` has checked, is taken first as one step, unyielded.
     """
+    # the pivot that was current when each row was last updated
+    stamp = [1] * len(rows)
+    prev = 1
+    remaining = list(range(ncols))
+    taken = ()
+    if pivots:
+        heads = dict(pivots)
+        taken = set(heads.values())
+        for i, row in enumerate(rows):
+            met = [c for c in row if c in heads]
+            if met and i not in taken:
+                scale = prod(rows[heads[c]][c] for c in met)
+                new = {j: scale * x for j, x in row.items()}
+                for c in met:
+                    pc = rows[heads[c]]
+                    f = row[c] * (scale // pc[c])
+                    for j, y in pc.items():
+                        new[j] = new.get(j, 0) - f * y
+                rows[i] = {j: x for j, x in new.items() if x}
+                stamp[i] = scale
+        prev = prod(rows[p][c] for c, p in pivots)
+        remaining = [c for c in remaining if c not in heads]
     # active[c]: rows not yet used as pivots that have a nonzero in column c
     active = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
-        for j in row:
-            active[j].add(i)
-    # the pivot that was current when each row was last updated
-    stamp = stamp or [1] * len(rows)
-    remaining = list(range(ncols))
-    for step in range(ncols):
-        if fewest_rows_first:
-            c = min(remaining, key=list(map(len, active)).__getitem__)
-            remaining.remove(c)
-        else:
-            c = step
+        if i not in taken:
+            for j in row:
+                active[j].add(i)
+    while remaining:
+        c = min(remaining, key=list(map(len, active)).__getitem__) if fewest_rows_first else remaining[0]
+        remaining.remove(c)
         cand = active[c]
         if not cand:
             yield c, None
@@ -199,21 +217,29 @@ def _eliminate(rows, ncols, fewest_rows_first=False, stamp=None, prev=1):
         yield c, p
 
 
-def det_exact(m: Matrix, *, stamp=None, prev=1) -> Fraction:
-    """Exact determinant of a square matrix.
-
-    Given ``stamp`` (one per row, updated in place) and ``prev``, the pass
-    resumes one whose first pivot steps were taken elsewhere, as in the module
-    docstring: the result is then the determinant of the matrix it started on,
-    with those steps' pivot rows and columns moved to the front."""
+def det_exact(m: Matrix, *, pivots=()) -> Fraction:
+    """Exact determinant of a square matrix.  ``pivots``, ``(column, row)``
+    pairs in which no row holds another pair's column, are taken first as one
+    diagonal block (module docstring); ValueError on a repeated column or row,
+    a pair with no entry, or a row holding another pair's column."""
     if m.rows != m.cols:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
     rows, clearing = _sparse_rows(m)
+    heads = dict(pivots)
+    if len(heads) != len(pivots) or len(set(heads.values())) != len(pivots):
+        raise ValueError("pivots must have distinct columns and distinct rows")
     # sign(row order) * sign(column order) is the sign of the row order
     # composed with the inverse column order
     perm = [0] * m.rows
-    pivot = prev
-    for c, p in _eliminate(rows, m.cols, True, stamp, prev):
+    pivot = 1
+    for c, p in pivots:
+        if not (type(c) is type(p) is int and 0 <= p < m.rows and rows[p].get(c)):
+            raise ValueError(f"pivot row {p!r} has no entry in column {c!r}")
+        if len(rows[p].keys() & heads.keys()) > 1:
+            raise ValueError(f"pivot row {p} holds another pivot's column")
+        perm[c] = p
+        pivot *= rows[p][c]
+    for c, p in _eliminate(rows, m.cols, True, pivots):
         if p is None:
             return Fraction(0)
         perm[c] = p

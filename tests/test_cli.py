@@ -669,8 +669,11 @@ def test_forces_enter_the_square_without_tau(tmp_path, capsys, monkeypatch):
         (["wedge", "--bound", "-3"], "need --bound >= 0, got -3"),
         (["differences", "--d", "0"], "need --d >= 1, got 0"),
         (["differences", "--d", "-2"], "need --d >= 1, got -2"),
+        (["wedge", "--s", "-1"], "need --s >= 3, got -1"),
+        (["wedge", "--s", "2"], "need --s >= 3, got 2"),
     ],
-    ids=["cross-product-bound", "wedge-bound", "differences-d-zero", "differences-d-negative"],
+    ids=["cross-product-bound", "wedge-bound", "differences-d-zero", "differences-d-negative",
+         "wedge-s-negative", "wedge-s-two"],
 )
 def test_example_names_a_bad_field(tmp_path, capsys, argv, message):
     # the floors the random generators use; before, random's "empty range for randrange()"

@@ -590,23 +590,24 @@ def unpivoted(v, r, d):
 
 
 def left_to_the_pass(v, r, d):
-    """The square the resumed pass gets: S's C(q-2, r) columns avoiding q-1 plus
-    its unpivoted level-2 columns, and as many rows."""
+    """What det_exact gets: S, C(q-1, r) rows and columns, and one level-2 pivot
+    per block avoiding q-1 that has an entry in its column M + {q-1}, so the
+    pass is left with C(q-1, r) - C(q-2, r-1) + unpivoted(v, r, d) columns."""
     q = r * d
-    n = comb(q - 1, r) - comb(q - 2, r - 1) + unpivoted(v, r, d) if d > 1 else 0
-    return (n, n)
+    n = comb(q - 1, r)
+    return (n, n, comb(q - 2, r - 1) - unpivoted(v, r, d) if d > 1 else 0)
 
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The (rows, columns) of every resumed pass det_sr runs."""
+    """The (rows, columns, level-2 pivot count) of every det_exact call det_sr makes."""
     import equidet.detmap as detmap
 
     seen = []
 
-    def recorder(m, **resume):
-        seen.append((m.rows, m.cols))
-        return det_exact(m, **resume)
+    def recorder(m, *, pivots=()):
+        seen.append((m.rows, m.cols, len(pivots)))
+        return det_exact(m, pivots=pivots)
 
     monkeypatch.setattr(detmap, "det_exact", recorder)
     return seen
@@ -687,7 +688,7 @@ def nonzero_slots(r, d, q, rng, bound=5):
 @pytest.mark.parametrize("r, d", [(2, 2), (3, 2), (2, 3), (3, 3), (4, 2)])
 def test_det_sr_renumbers_the_column_of_a_block_left_unpivoted(passes, r, d):
     # slot M + {q-1} parallel to the head M + {q}: block M's rows of S have no
-    # entry in column M + {q-1}, which the pass gets after the columns avoiding q-1
+    # entry in column M + {q-1}, which det_exact gets as a column of S, not a level-2 pivot
     rng = random.Random(f"level-two-unpivoted-{r}-{d}")
     q = r * d
     columns = level_two_columns(r, d)

@@ -453,23 +453,49 @@ def test_rank_reads_every_column(eliminate_steps):
         assert rank == sum(p is not None for _, p in steps)
 
 
-def test_a_resumed_pass_ends_on_the_whole_determinant():
-    # one pivot (i0, j0) taken outside the pass: a row with an entry f in column j0
-    # becomes a * row - f * P with stamp a, any other row stays with stamp 1, and
-    # both are handed on without row i0 and column j0, with prev = a
-    rng = random.Random("resumed-pass")
-    for _ in range(80):
-        n = rng.randint(1, 7)
-        rows = [[rng.choice((0, 0, 0, -3, -1, 1, 2, 5)) for _ in range(n)] for _ in range(n)]
-        i0, j0 = rng.randrange(n), rng.randrange(n)
-        rows[i0][j0] = a = rng.choice((-4, -2, 3, 7))
-        pivot = rows[i0]
-        rest, stamp = [], []
-        for i, row in enumerate(rows):
-            if i != i0:
-                f = row[j0]
-                new = [a * x - f * y for x, y in zip(row, pivot)] if f else row
-                rest.append({c - (c > j0): x for c, x in enumerate(new) if x and c != j0})
-                stamp.append(a if f else 1)
-        sign = (-1) ** (i0 + j0)  # moving row i0 and column j0 to the front
-        assert sign * exact.det_exact(Matrix._from_sparse(rest, n - 1), stamp=stamp, prev=a) == det_cofactor(rows), rows
+def planted_block(rng, n, k, fractions=False):
+    """Random n x n rows with k ``(column, row)`` pivots planted: a nonzero at
+    each pair, and no pivot row holding another pair's column."""
+    entries = (0, 0, 0, -3, -1, 1, 2, 5)
+    rows = [[rng.choice(entries) for _ in range(n)] for _ in range(n)]
+    if fractions:
+        rows = [[Fraction(x, rng.randint(1, 6)) for x in row] for row in rows]
+    pivots = list(zip(rng.sample(range(n), k), rng.sample(range(n), k)))
+    for c, p in pivots:
+        for j, _ in pivots:
+            rows[p][j] = 0
+        rows[p][c] = rng.choice((-4, -2, 3, 7, Fraction(5, 3)) if fractions else (-4, -2, 3, 7))
+    return rows, pivots
+
+
+def test_a_pivot_block_ends_on_the_whole_determinant():
+    # a block of k pivots taken first as one step: an empty one (k = 0), one that
+    # takes every column (k = n) and any size between, on integer and p/q rows
+    rng = random.Random("pivot-block")
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        k = rng.choice((0, n, rng.randint(0, n)))
+        rows, pivots = planted_block(rng, n, k, rng.random() < 0.3)
+        m = Matrix(rows)
+        assert det_exact(m, pivots=pivots) == det_exact(m) == det_cofactor(rows), (rows, pivots)
+
+
+@pytest.mark.parametrize(
+    "pivots, message",
+    [
+        ([(0, 0), (0, 1)], "distinct"),
+        ([(0, 0), (1, 0)], "distinct"),
+        ([(1, 2)], "no entry"),
+        ([(0, 3)], "no entry"),
+        ([(3, 0)], "no entry"),
+        ([(0.0, 0)], "no entry"),
+        ([(0, 0), (1, 1)], "another"),
+    ],
+    ids=["repeated-column", "repeated-row", "missing-entry", "row-out-of-range",
+         "column-out-of-range", "float-column", "row-holds-another-column"],
+)
+def test_det_exact_refuses_a_bad_pivot_block(pivots, message):
+    # row 0 holds columns 0 and 1; row 2 has no entry in column 1
+    m = Matrix([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
+    with pytest.raises(ValueError, match=message):
+        det_exact(m, pivots=pivots)
