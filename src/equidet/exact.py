@@ -19,12 +19,17 @@ updated while pivot t was current holds its dense value times t / prev.
 Eliminating it with the new pivot p_k and multiplier f is therefore
 (x*p_k - f*y) // t, and a pivot row is brought up to date once as
 x*prev // t.  The Sylvester identity makes both divisions exact, and every
-row equals what the dense pass computes.  So a pass can open on a diagonal
-pivot block, ``(column, row)`` pairs with entries a' where no pivot row holds
-another pair's column (``det_exact``'s ``pivots``): taken as one step, a row
-meeting pivot rows P with entries f becomes L * row - sum f (L/a') P, L the
-product of the a' it met, its dense value times L / prod a', so it gets
-stamp L and the pass goes on from prev = prod a' to the same last pivot.
+row equals what the dense pass computes.  So a pass can open on levels of
+diagonal pivot blocks (``det_exact``'s ``pivots``), each of ``(column, row)``
+pairs with entries a' where no pivot row holds another pair of its level's
+column, as the levels before it left the rows.  Taken as one step, a level
+turns a row meeting its pivot rows P with entries f into L * row - sum
+f (L/a') P, L the product of the a' it met; the row's stamp is multiplied by
+L, and prev becomes prev * prod a' // prod stamp[p] over the level's pivot
+rows p, the pivot the dense pass reaches after the level's columns (Sylvester
+again, so the division is exact).  With one level and every stamp 1 these are
+L and prod a'.  The pass goes on from there to the same last pivot, which is
+the last level's prev when the levels take every column.
 
 Callers differ only in the order columns are taken.  Kernels go left to
 right, so the free columns, and with them the kernel basis, are those of the
@@ -144,22 +149,35 @@ def _sparse_rows(m: Matrix):
 def _eliminate(rows, ncols, fewest_rows_first=False, pivots=()):
     """Lazy fraction-free forward elimination over sparse rows, never mutating a row dict.
 
-    Yields one step per column, in elimination order: ``(column, i)`` when
-    ``rows[i]`` is that column's pivot row, up to date from the moment it is
-    yielded, or ``(column, None)`` when the column has no active entry and is
-    free.  Columns are taken left to right, or with ``fewest_rows_first`` the
+    Yields one step per column, in elimination order: ``(column, i, pivot)``
+    when ``rows[i]`` is that column's pivot row, up to date from the moment it
+    is yielded, or ``(column, None, pivot)`` when the column has no active
+    entry and is free; ``pivot`` is the Bareiss pivot current after the step.
+    Columns are taken left to right, or with ``fewest_rows_first`` the
     remaining column with the fewest active rows first (lowest index on ties).
-    A caller stops the pass by leaving its loop.  ``pivots``, a diagonal pivot
-    block ``det_exact`` has checked, is taken first as one step, unyielded.
+    A caller stops the pass by leaving its loop.  ``pivots``, ``det_exact``'s
+    levels of diagonal pivot blocks, are checked and taken first, one step per
+    level, and each level's pairs are then yielded, their rows as it saw them.
     """
-    # the pivot that was current when each row was last updated
+    # row i holds its dense value times stamp[i] / prev: stamp[i] is the pivot
+    # current when the pass last updated it, or the product of the levels' L
     stamp = [1] * len(rows)
     prev = 1
     remaining = list(range(ncols))
-    taken = ()
-    if pivots:
-        heads = dict(pivots)
-        taken = set(heads.values())
+    taken, done = set(), set()  # the levels' pivot rows and columns
+    for level in pivots:
+        heads = dict(level)
+        level_rows = set(heads.values())
+        if not len(heads) == len(level_rows) == len(level) or done & heads.keys() or taken & level_rows:
+            raise ValueError("pivots must have distinct columns and distinct rows")
+        for c, p in level:
+            if not (type(c) is type(p) is int and 0 <= p < len(rows) and rows[p].get(c)):
+                raise ValueError(f"pivot row {p!r} has no entry in column {c!r}")
+            if len(rows[p].keys() & heads.keys()) > 1:
+                raise ValueError(f"pivot row {p} holds another pivot's column")
+            prev = prev * rows[p][c] // stamp[p]  # a minor after every pair, so exact
+        taken |= level_rows
+        done |= heads.keys()
         for i, row in enumerate(rows):
             met = [c for c in row if c in heads]
             if met and i not in taken:
@@ -171,9 +189,10 @@ def _eliminate(rows, ncols, fewest_rows_first=False, pivots=()):
                     for j, y in pc.items():
                         new[j] = new.get(j, 0) - f * y
                 rows[i] = {j: x for j, x in new.items() if x}
-                stamp[i] = scale
-        prev = prod(rows[p][c] for c, p in pivots)
+                stamp[i] *= scale
         remaining = [c for c in remaining if c not in heads]
+        for c, p in level:
+            yield c, p, prev
     # active[c]: rows not yet used as pivots that have a nonzero in column c
     active = [set() for _ in range(ncols)]
     for i, row in enumerate(rows):
@@ -185,7 +204,7 @@ def _eliminate(rows, ncols, fewest_rows_first=False, pivots=()):
         remaining.remove(c)
         cand = active[c]
         if not cand:
-            yield c, None
+            yield c, None, prev
             continue
         p = min(cand, key=lambda i: (len(rows[i]), i))
         rk = rows[p]
@@ -214,36 +233,27 @@ def _eliminate(rows, ncols, fewest_rows_first=False, pivots=()):
             rows[i] = new
             stamp[i] = pk
         prev = pk
-        yield c, p
+        yield c, p, prev
 
 
 def det_exact(m: Matrix, *, pivots=()) -> Fraction:
-    """Exact determinant of a square matrix.  ``pivots``, ``(column, row)``
-    pairs in which no row holds another pair's column, are taken first as one
-    diagonal block (module docstring); ValueError on a repeated column or row,
-    a pair with no entry, or a row holding another pair's column."""
+    """Exact determinant of a square matrix.  ``pivots`` is a sequence of
+    levels, each a sequence of ``(column, row)`` pairs in which no row holds
+    another pair's column as the levels before it left the rows; they are
+    taken first, one diagonal block per level (module docstring).  ValueError
+    on a column or row repeated across the levels, a pair whose row has no
+    entry there, or a row holding another pair of its level's column."""
     if m.rows != m.cols:
         raise ValueError(f"determinant requires a square matrix, got {m.rows}x{m.cols}")
     rows, clearing = _sparse_rows(m)
-    heads = dict(pivots)
-    if len(heads) != len(pivots) or len(set(heads.values())) != len(pivots):
-        raise ValueError("pivots must have distinct columns and distinct rows")
     # sign(row order) * sign(column order) is the sign of the row order
     # composed with the inverse column order
     perm = [0] * m.rows
     pivot = 1
-    for c, p in pivots:
-        if not (type(c) is type(p) is int and 0 <= p < m.rows and rows[p].get(c)):
-            raise ValueError(f"pivot row {p!r} has no entry in column {c!r}")
-        if len(rows[p].keys() & heads.keys()) > 1:
-            raise ValueError(f"pivot row {p} holds another pivot's column")
-        perm[c] = p
-        pivot *= rows[p][c]
-    for c, p in _eliminate(rows, m.cols, True, pivots):
+    for c, p, pivot in _eliminate(rows, m.cols, True, pivots):
         if p is None:
             return Fraction(0)
         perm[c] = p
-        pivot = rows[p][c]
     return Fraction(permutation_sign(perm) * pivot, clearing)
 
 
@@ -276,7 +286,7 @@ def _kernel_vectors(m: Matrix):
     as soon as elimination reaches its column."""
     rows = _sparse_rows(m)[0]
     pivots = []
-    for c, p in _eliminate(rows, m.cols):
+    for c, p, _ in _eliminate(rows, m.cols):
         if p is None:
             yield _free_vector(pivots, c, m.cols)
         else:
@@ -301,4 +311,4 @@ def kernel_vector(m: Matrix):
 
 def rank_exact(m: Matrix) -> int:
     """Exact rank; always equals cols minus the kernel dimension."""
-    return sum(p is not None for _, p in _eliminate(_sparse_rows(m)[0], m.cols, fewest_rows_first=True))
+    return sum(p is not None for _, p, _ in _eliminate(_sparse_rows(m)[0], m.cols, fewest_rows_first=True))

@@ -572,41 +572,51 @@ def test_det_sr_matches_on_planted_zeros_at_84_columns():
         assert det_sr(cfg) == whole_system_det(cfg) == 0
 
 
-def level_two_columns(r, d):
-    """Tuples M + {q-1} with M avoiding q-1 and q: the columns det_sr pivots inside
-    S's blocks, one per block M, in colex order of M."""
-    q = r * d
-    return [t for t in subsets_colex(q - 1, r) if t[-1] == q - 1]
+def level_columns(r, d, level=2):
+    """Tuples M + {q-l+1} with M avoiding q-l+1 ... q, l = ``level``: the columns
+    det_sr pivots inside S's blocks at level l, one per block M, in colex order of M."""
+    top = r * d - level + 1
+    return [t for t in subsets_colex(top, r) if t[-1] == top]
 
 
-def unpivoted(v, r, d):
-    """Number of blocks M avoiding q-1 whose column M + {q-1} has no entry in
-    its own rows of S: the slot there is parallel to the head M + {q}."""
+def unpivoted(v, r, d, level=2):
+    """Number of blocks M avoiding q-l+1 ... q, l = ``level``, that det_sr does not
+    pivot at level l: the head M + {q} and the slots M + {q-1}, ..., M + {q-l+1}
+    are dependent, so the block's rows of S have rank below l-1 in its level
+    columns (at level 2, the slot M + {q-1} is parallel to the head)."""
     q = r * d
-    return sum(
-        all(u[i] * w[j] == u[j] * w[i] for i, j in combinations(range(d), 2))
-        for u, w in ((v.get(t[:-1] + (q,)), v.get(t)) for t in level_two_columns(r, d))
-    )
+    count = 0
+    for t in level_columns(r, d, level):
+        vectors = [v.get(t[:-1] + (i,)) for i in range(q, q - level, -1)]
+        count += not any(
+            det_cofactor([[vec[k] for k in ks] for vec in vectors]) for ks in combinations(range(d), level)
+        )
+    return count
+
+
+def levels_taken(v, r, d):
+    """Pairs det_sr hands det_exact at each level l = 2 ... d (one level, empty,
+    at d = 1): C(q-l, r-1) blocks, minus the unpivoted ones."""
+    q = r * d
+    return tuple(comb(q - l, r - 1) - unpivoted(v, r, d, l) for l in range(2, d + 1)) or (0,)
 
 
 def left_to_the_pass(v, r, d):
-    """What det_exact gets: S, C(q-1, r) rows and columns, and one level-2 pivot
-    per block avoiding q-1 that has an entry in its column M + {q-1}, so the
-    pass is left with C(q-1, r) - C(q-2, r-1) + unpivoted(v, r, d) columns."""
-    q = r * d
-    n = comb(q - 1, r)
-    return (n, n, comb(q - 2, r - 1) - unpivoted(v, r, d) if d > 1 else 0)
+    """What det_exact gets: S, C(q-1, r) rows and columns, and the pairs of each
+    level, so the pass is left with C(q-d, r) columns plus the unpivoted ones."""
+    n = comb(r * d - 1, r)
+    return (n, n, levels_taken(v, r, d))
 
 
 @pytest.fixture
 def passes(monkeypatch):
-    """The (rows, columns, level-2 pivot count) of every det_exact call det_sr makes."""
+    """The (rows, columns, pairs per level) of every det_exact call det_sr makes."""
     import equidet.detmap as detmap
 
     seen = []
 
     def recorder(m, *, pivots=()):
-        seen.append((m.rows, m.cols, len(pivots)))
+        seen.append((m.rows, m.cols, tuple(map(len, pivots))))
         return det_exact(m, pivots=pivots)
 
     monkeypatch.setattr(detmap, "det_exact", recorder)
@@ -625,6 +635,9 @@ def test_det_sr_eliminates_only_what_both_levels_leave(passes):
         expected = det_sr(v)
         if expected:
             assert passes == [left_to_the_pass(v, r, d)], (r, d)
+            [(_, cols, levels)] = passes
+            missed = sum(unpivoted(v, r, d, l) for l in range(2, d + 1))
+            assert cols - sum(levels) == comb(q - d, r) + missed, (r, d)
         else:  # a column of S with no entry: no elimination runs
             assert passes == []
         assert expected == whole_system_det(v)
@@ -691,7 +704,7 @@ def test_det_sr_renumbers_the_column_of_a_block_left_unpivoted(passes, r, d):
     # entry in column M + {q-1}, which det_exact gets as a column of S, not a level-2 pivot
     rng = random.Random(f"level-two-unpivoted-{r}-{d}")
     q = r * d
-    columns = level_two_columns(r, d)
+    columns = level_columns(r, d)
     for picked in ([columns[0]], [columns[len(columns) // 2]], columns[::2]):
         f = nonzero_slots(r, d, q, rng, 30)
         vectors = dict(f.canonical)
@@ -715,7 +728,7 @@ def test_det_sr_takes_a_level_two_pivot_below_a_blocks_first_row(r, d):
     for every in (False, True):
         f = nonzero_slots(r, d, q, rng, 30)
         vectors = dict(f.canonical)
-        for n, t in enumerate(level_two_columns(r, d)):
+        for n, t in enumerate(level_columns(r, d)):
             if every or n % 2:
                 u = vectors[t[:-1] + (q,)] = (1, *(rng.choice(nonzero) for _ in range(d - 1)))
                 w0 = rng.choice(nonzero)
@@ -732,7 +745,7 @@ def test_det_sr_clears_p_q_entries_before_level_two(r, d):
     for _ in range(3):
         f = nonzero_slots(r, d, q, rng)
         some = {**f.canonical, **{t: tuple(Fraction(x, rng.randint(2, 7)) for x in f.canonical[t])
-                                 for t in level_two_columns(r, d)}}
+                                 for t in level_columns(r, d)}}
         every = {t: tuple(Fraction(x, rng.randint(1, 7)) for x in vec) for t, vec in f.canonical.items()}
         for vectors in (some, every):
             f = ForceSystem(r, d, q, vectors)
@@ -745,7 +758,7 @@ def test_det_sr_on_cliques_holding_q_minus_1_and_an_empty_column(passes, r, d):
     q = r * d
     for clique in (
         sorted(rng.sample(range(1, q - 1), r - 1)) + [q - 1, q],  # holds q-1 and q: column clique - {q} is empty
-        sorted(rng.sample(range(1, q - 1), r)) + [q - 1],  # holds q-1, not q: both levels run
+        sorted(rng.sample(range(1, q - 1), r)) + [q - 1],  # holds q-1, not q: every level runs
     ):
         f = nonzero_slots(r, d, q, rng)
         shared = f.canonical[tuple(clique[:r])]
@@ -797,3 +810,56 @@ def test_det_sr_matches_the_whole_system_at_220_and_252_columns(r, d):
         shared = f.canonical[tuple(sorted(clique[:3]))]
         f = ForceSystem(r, d, q, {**f.canonical, **{tuple(sorted(t)): shared for t in combinations(clique, 3)}})
         assert det_sr(f) == whole_system_det(f) == 0
+
+
+def planted_deep_cases(r, d, rng):
+    """Force systems by name: ``plain``, a nonzero vector on every slot; the
+    same with p/q entries; and for d > 2 ``spanned``, where the first block M
+    avoiding q-2 has its slot M + {q-2} in the span of its head M + {q} and its
+    slot M + {q-1}, so its level-3 minor vanishes and its columns M + {q-2},
+    M + {q-3}, ... go to the pass, and ``clique``, where every r-subset of a
+    clique holding q-2 shares one vector, so det is 0."""
+    q = r * d
+    vectors = dict(nonzero_slots(r, d, q, rng, 30).canonical)
+    cases = {
+        "plain": vectors,
+        "fractions": {t: tuple(Fraction(x, rng.randint(1, 6)) for x in vec) for t, vec in vectors.items()},
+    }
+    if d > 2:
+        m = tuple(range(1, r))
+        u, w = vectors[m + (q,)], vectors[m + (q - 1,)]
+        cases["spanned"] = {**vectors, m + (q - 2,): tuple(2 * a - 3 * b for a, b in zip(u, w))}
+        clique = sorted(rng.sample([i for i in range(1, q + 1) if i != q - 2], r) + [q - 2])
+        shared = vectors[tuple(clique[:r])]
+        cases["clique"] = {**vectors, **{t: shared for t in combinations(clique, r)}}
+    return {name: ForceSystem(r, d, q, x) for name, x in cases.items()}
+
+
+@pytest.mark.parametrize("r, d", [(1, 2), (1, 3), (1, 4), (1, 5), (1, 6), (2, 3), (2, 4), (2, 5), (3, 3)])
+def test_det_sr_levels_match_the_whole_square(passes, r, d):
+    # every level 2 ... d, both kinds, against det_exact on the whole square
+    # and, up to 6 x 6, the cofactor expansion
+    rng = random.Random(f"deep-levels-{r}-{d}")
+    for name, f in planted_deep_cases(r, d, rng).items():
+        square = build_system_matrix(f).matrix
+        passes.clear()
+        value = det_sr(f)
+        # no elimination runs only when a column of S has no entry
+        assert passes == [left_to_the_pass(f, r, d)] or not value and passes == [], (r, d, name)
+        assert value == det_sr(f.to_configuration()) == det_exact(square), (r, d, name)
+        if square.rows <= 6:
+            assert value == det_cofactor(square.data), (r, d, name)
+        if name == "spanned":  # the planted block stops at level 3
+            assert unpivoted(f, r, d, 3) > unpivoted(f, r, d, 2)
+        if name == "clique":
+            assert value == 0
+        cfg = random_configuration(r, d, 5, rng)
+        assert det_sr(cfg) == whole_system_det(cfg), (r, d)
+
+
+def test_det_sr_levels_match_the_whole_square_at_220_columns(passes):
+    # r = 3, d = 4: levels 2, 3 and 4, a level-3 minor planted to vanish
+    f = planted_deep_cases(3, 4, random.Random("deep-levels-3-4"))["spanned"]
+    assert det_sr(f) == whole_system_det(f) != 0
+    assert passes[0] == left_to_the_pass(f, 3, 4)
+    assert unpivoted(f, 3, 4, 3) == unpivoted(f, 3, 4, 4) == 1

@@ -394,7 +394,7 @@ def test_elimination_rejects_non_exact_scalars(bad):
 
 @pytest.fixture
 def eliminate_steps(monkeypatch):
-    """Steps read from each ``_eliminate`` stream, one list per call."""
+    """Steps read from each ``_eliminate`` stream as ``(column, row)`` pairs, one list per call."""
     original = exact._eliminate
     calls = []
 
@@ -402,7 +402,7 @@ def eliminate_steps(monkeypatch):
         steps = []
         calls.append(steps)
         for step in original(*args, **kwargs):
-            steps.append(step)
+            steps.append(step[:2])
             yield step
 
     monkeypatch.setattr(exact, "_eliminate", counted)
@@ -469,7 +469,7 @@ def planted_block(rng, n, k, fractions=False):
 
 
 def test_a_pivot_block_ends_on_the_whole_determinant():
-    # a block of k pivots taken first as one step: an empty one (k = 0), one that
+    # a block of k pivots taken first as one level: an empty one (k = 0), one that
     # takes every column (k = n) and any size between, on integer and p/q rows
     rng = random.Random("pivot-block")
     for _ in range(300):
@@ -477,7 +477,51 @@ def test_a_pivot_block_ends_on_the_whole_determinant():
         k = rng.choice((0, n, rng.randint(0, n)))
         rows, pivots = planted_block(rng, n, k, rng.random() < 0.3)
         m = Matrix(rows)
-        assert det_exact(m, pivots=pivots) == det_exact(m) == det_cofactor(rows), (rows, pivots)
+        assert det_exact(m, pivots=[pivots]) == det_exact(m) == det_cofactor(rows), (rows, pivots)
+
+
+def planted_levels(rng, n, k, fractions=False):
+    """Random n x n rows with k ``(column, row)`` pairs planted in blocks of one
+    to three: a block's rows are zero in every other block's columns, and the
+    leading minors of its rows at its columns are nonzero, so its i-th pair is
+    one of level i as the levels before it leave the rows.  Returns the rows
+    and the levels."""
+    value = (lambda x: Fraction(x, rng.randint(1, 6))) if fractions else (lambda x: x)
+    rows = [[value(rng.choice((0, 0, 0, -3, -1, 1, 2, 5))) for _ in range(n)] for _ in range(n)]
+    cols, pivot_rows = rng.sample(range(n), k), rng.sample(range(n), k)
+    levels = []
+    start = 0
+    while start < k:
+        size = min(rng.randint(1, 3), k - start)
+        block = list(zip(cols[start : start + size], pivot_rows[start : start + size]))
+        start += size
+        while True:
+            local = [[value(rng.choice((0, -2, -1, 1, 3))) for _ in block] for _ in block]
+            if all(det_cofactor([row[:i] for row in local[:i]]) for i in range(1, size + 1)):
+                break
+        for (_, p), entries in zip(block, local):
+            for c in cols:
+                rows[p][c] = 0
+            for (c, _), x in zip(block, entries):
+                rows[p][c] = x
+        levels.extend([] for _ in range(size - len(levels)))
+        for level, pair in zip(levels, block):
+            level.append(pair)
+    return rows, levels
+
+
+def test_pivot_levels_end_on_the_whole_determinant():
+    # up to three levels, each row of a later one updated by the levels before
+    # it, so the stamps multiply; k = n takes every column and ends on the last
+    # level's prev
+    rng = random.Random("pivot-levels")
+    for _ in range(300):
+        n = rng.randint(0, 7)
+        k = rng.choice((0, n, n, rng.randint(0, n)))
+        rows, levels = planted_levels(rng, n, k, rng.random() < 0.3)
+        m = Matrix(rows)
+        assert det_exact(m, pivots=levels) == det_exact(m) == det_cofactor(rows), (rows, levels)
+    assert max(len(levels) for levels in [planted_levels(random.Random(s), 7, 7)[1] for s in range(20)]) == 3
 
 
 @pytest.mark.parametrize(
@@ -498,4 +542,25 @@ def test_det_exact_refuses_a_bad_pivot_block(pivots, message):
     # row 0 holds columns 0 and 1; row 2 has no entry in column 1
     m = Matrix([[2, 1, 0], [0, 3, 1], [1, 0, 4]])
     with pytest.raises(ValueError, match=message):
+        det_exact(m, pivots=[pivots])
+
+
+@pytest.mark.parametrize(
+    "pivots, message",
+    [
+        ([[(0, 0)], [(2, 1)]], "no entry"),
+        ([[(0, 0)], [(1, 1), (2, 2)]], "another"),
+        ([[(0, 0)], [(0, 1)]], "distinct"),
+        ([[(0, 0)], [(1, 0)]], "distinct"),
+    ],
+    ids=["no-entry-after-level-1", "row-still-holds-another-column", "column-across-levels", "row-across-levels"],
+)
+def test_det_exact_refuses_a_bad_second_level(pivots, message):
+    # level 1 pivots column 0 on row 0 and turns row 1 into 1 * row 1 - 2 * row 0
+    # = [0, 1, 0, 0], which has lost its entry in column 2; row 2 still holds
+    # columns 1 and 2, row 3 column 2 alone
+    m = Matrix([[1, 0, 2, 0], [2, 1, 4, 0], [0, 3, 1, 1], [0, 0, 1, 5]])
+    with pytest.raises(ValueError, match=message):
         det_exact(m, pivots=pivots)
+    # row 1 held column 2 before level 1, so this second level is diagonal only after it
+    assert det_exact(m, pivots=[[(0, 0)], [(1, 1), (2, 3)]]) == det_cofactor(m.data) != 0
